@@ -45,7 +45,7 @@ def build_parser() -> _Parser:
     p.add_argument("--johnson", choices=("greedy", "gs"), default="greedy",
                    help="partition method for identifying vectors")
     p.add_argument("--verify", action="store_true",
-                   help="force pairwise verification regardless of size")
+                   help="force properness verification regardless of size")
     p.add_argument("--out", help="certificate path (default: stdout)")
     p.add_argument("--cap", type=int, default=col.DEFAULT_VERTEX_CAP,
                    help="refuse graphs with more vertices than this")
@@ -124,6 +124,7 @@ def _cmd_verify(args) -> int:
         a, b, dim = report.counterexample
         print(f"counterexample: {a} | {b} | intersection dim {dim}",
               file=sys.stderr)
+        print(f"witness: both contain {report.witness}", file=sys.stderr)
     for key in report.missing[:5]:
         print(f"missing vertex: {key}", file=sys.stderr)
     for key in report.unexpected[:5]:
@@ -223,6 +224,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"qchroma: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:  # an internal invariant check failed
+        print(f"qchroma: internal check failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,10 +18,11 @@ Parameters fall into three regimes:
   gets its own colour (the enumeration index).
 
 `full_colouring` colours every vertex, reports exact integer bounds, and
-(optionally but by default at desk scale) verifies properness pair by
-pair before sealing the certificate.  Certificates serialize to a single
-JSON document with all integers as decimal strings; byte-identical across
-runs for equal inputs.
+(optionally but by default at desk scale) verifies properness before
+sealing the certificate: two vertices are adjacent exactly when they share
+a t-subspace, so no colour class may repeat a t-subspace fingerprint.
+Certificates serialize to a single JSON document with all integers as
+decimal strings; byte-identical across runs for equal inputs.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ from dataclasses import dataclass
 from .grassmann import (GrassmannParams, Subspace, decode_subspace, dualize,
                         degree_formula, encode_subspace, enumerate_subspaces,
                         enumeration_index)
-from .johnson import JohnsonColouring, greedy_colouring, gs_colouring
-from .matq import gaussian_binomial, intersection_dim
+from .ff import FieldSpec
+from .johnson import (JohnsonColouring, colour_clash, greedy_colouring,
+                      gs_colouring)
+from .matq import MatrixFq, gaussian_binomial, intersection_dim
 from .rankmetric import (GabidulinCode, coset_index, gabidulin_build,
                          min_rank_distance, unlift)
 
@@ -132,6 +135,7 @@ class VerificationReport:
     coverage_ok: bool
     missing: tuple[str, ...]
     unexpected: tuple[str, ...]
+    witness: str | None = None        # key of a t-subspace the counterexample shares
 
     def message(self) -> str:
         if not self.coverage_ok:
@@ -229,9 +233,12 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
     proper: bool | None = None
     pairs_checked = 0
     if verify:
-        proper, pairs_checked, cex = _check_pairs(vertices, colours, params.t)
-        if not proper:
-            raise AssertionError(f"construction produced an improper colouring: {cex}")
+        clash = _find_clash(vertices, colours, params)
+        if clash is not None:
+            cex, witness = clash
+            raise AssertionError(f"construction produced an improper colouring: "
+                                 f"{cex}, sharing {witness}")
+        proper, pairs_checked = True, total * (total - 1) // 2
 
     palette_used = len(set(colours))
     bounds = bounds_report(params, ctx.johnson.method if ctx.johnson else "greedy",
@@ -253,31 +260,68 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
         proper=proper, pairs_checked=pairs_checked, family_sizes=families)
 
 
-def _check_pairs(vertices: list[Subspace], colours: list[int], t: int
-                 ) -> tuple[bool, int, tuple[str, str, int] | None]:
-    """Walk all unordered pairs; intersection work only on colour clashes."""
-    nv = len(vertices)
-    pairs = 0
-    for i in range(nv):
-        ci = colours[i]
-        bi = vertices[i].basis
-        for j in range(i + 1, nv):
-            pairs += 1
-            if ci == colours[j]:
-                dim = intersection_dim(bi, vertices[j].basis)
-                if dim >= t:
-                    return (False, pairs,
-                            (encode_subspace(vertices[i]),
-                             encode_subspace(vertices[j]), dim))
-    return True, pairs, None
+def _span_combination(field: FieldSpec, coeffs: tuple[int, ...],
+                      rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The vector sum_i coeffs[i] * rows[i]; coeffs is never all zero."""
+    acc = None
+    for c, row in zip(coeffs, rows):
+        if c == 0:
+            continue
+        if c != 1:
+            row = [field.mul(c, x) for x in row]
+        acc = row if acc is None else [field.add(x, y) for x, y in zip(acc, row)]
+    return tuple(acc)
+
+
+def _find_clash(vertices: list[Subspace], colours: list[int],
+                params: GrassmannParams
+                ) -> tuple[tuple[str, str, int], str] | None:
+    """A same-colour pair of intersection dim >= t and a shared t-subspace.
+
+    dim(S ∩ T) >= t holds exactly when S and T share a t-subspace, so each
+    vertex is fingerprinted by its t-subspaces and `colour_clash` hashes
+    them per colour class.  The t-subspaces of S are the row spaces of
+    C·B, B the RREF basis of S and C the RREF bases of the t-subspaces of
+    F_q^m.  With both C and B in RREF, C·B is itself in RREF (its pivot
+    columns are B's pivot columns picked by C's pivots, where C·B repeats
+    the columns of C), so C·B is the canonical fingerprint as computed.
+    Only the reported pair's intersection is computed.  Returns
+    ((key S, key T, dim), witness key) or None when the colouring is proper.
+    """
+    field = params.field
+    bases = [S.basis.rows for S in enumerate_subspaces(params.q, params.m, params.t)]
+    coeff_rows = sorted({r for C in bases for r in C})
+    row_at = {r: k for k, r in enumerate(coeff_rows)}
+    shapes = [tuple(row_at[r] for r in C) for C in bases]
+
+    def fingerprints(i: int):
+        basis = vertices[i].basis.rows
+        vecs = [_span_combination(field, r, basis) for r in coeff_rows]
+        return [tuple(vecs[k] for k in C) for C in shapes]
+
+    clash = colour_clash(colours, fingerprints)
+    if clash is None:
+        return None
+    i, j, shared = clash
+    S, T = vertices[i], vertices[j]
+    dim = intersection_dim(S.basis, T.basis)
+    witness = encode_subspace(Subspace(MatrixFq(field, shared)))
+    return (encode_subspace(S), encode_subspace(T), dim), witness
 
 
 def verify_properness(cert: ColourCertificate) -> VerificationReport:
-    """Re-check a certificate from scratch: coverage first, then all pairs."""
+    """Re-check a certificate from scratch: coverage first, then properness.
+
+    Every key must decode to an m-subspace of this graph's F_q^n and
+    re-encode to itself, once.  Distinct canonical keys are distinct
+    vertices, so V such keys cover the Grassmannian; the expected key set
+    is enumerated only to list what is missing on refusal.  Properness is
+    the fingerprint check of `_find_clash`; `pairs_checked` is the C(V, 2)
+    pairs it certifies, and 0 when it refuses.
+    """
     params = cert.params
-    expected = {encode_subspace(S) for S in
-                enumerate_subspaces(params.q, params.n, params.m)}
-    seen: dict[str, int] = {}
+    shape = (params.q, params.n, params.m)
+    seen: set[str] = set()
     invalid: list[str] = []
     vertices: list[Subspace] = []
     colours: list[int] = []
@@ -288,18 +332,23 @@ def verify_properness(cert: ColourCertificate) -> VerificationReport:
         except ValueError:
             invalid.append(key)
             continue
-        if canon != key or key in seen:
+        if canon != key or key in seen or (S.q, S.n, S.m) != shape:
             invalid.append(key)
             continue
-        seen[key] = colour
+        seen.add(key)
         vertices.append(S)
         colours.append(colour)
-    missing = tuple(sorted(expected - set(seen)))
-    unexpected = tuple(sorted((set(seen) - expected) | set(invalid)))
-    if missing or unexpected:
-        return VerificationReport(False, 0, None, False, missing, unexpected)
-    ok, pairs, cex = _check_pairs(vertices, colours, params.t)
-    return VerificationReport(ok, pairs, cex, True, (), ())
+    if invalid or len(seen) != params.vertex_count():
+        # every key in `seen` is an expected key, so only `invalid` is unexpected
+        expected = {encode_subspace(S) for S in enumerate_subspaces(*shape)}
+        return VerificationReport(False, 0, None, False,
+                                  tuple(sorted(expected - seen)),
+                                  tuple(sorted(set(invalid))))
+    clash = _find_clash(vertices, colours, params)
+    if clash is not None:
+        return VerificationReport(False, 0, clash[0], True, (), (), clash[1])
+    nv = len(vertices)
+    return VerificationReport(True, nv * (nv - 1) // 2, None, True, (), ())
 
 
 # -- certificate JSON ---------------------------------------------------------

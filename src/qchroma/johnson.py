@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .ff import discrete_log, field_make, is_prime, primitive_element
 from .oracle import dsatur
@@ -171,13 +172,39 @@ def johnson_bounds(n: int, m: int, t: int) -> tuple[int, int]:
     return lower, gs_upper
 
 
+def colour_clash(colours: Sequence[int],
+                 fingerprints: Callable[[int], Iterable[Hashable]]
+                 ) -> tuple[int, int, Hashable] | None:
+    """First two same-colour items that share a fingerprint, or None.
+
+    Items are indices into `colours`.  Within each colour class (classes
+    taken in order of first appearance, members in index order) every
+    fingerprint is hashed once, so the cost is linear in the total number
+    of fingerprints and no pair is walked.  A class of one item is never
+    fingerprinted.  Returns (i, j, shared fingerprint) with i < j.
+    """
+    classes: dict[int, list[int]] = {}
+    for i, c in enumerate(colours):
+        classes.setdefault(c, []).append(i)
+    for members in classes.values():
+        if len(members) < 2:
+            continue
+        owner: dict[Hashable, int] = {}
+        for j in members:
+            for f in fingerprints(j):
+                i = owner.setdefault(f, j)
+                if i != j:
+                    return i, j, f
+    return None
+
+
 def is_proper(col: JohnsonColouring) -> bool:
-    """Exhaustive check: same colour forces intersection <= t-1."""
+    """Exhaustive check: no colour class holds two subsets sharing a t-subset.
+
+    Two m-subsets share at least t elements exactly when they have a common
+    t-subset, so the t-subsets of each vertex serve as its fingerprints.
+    """
     verts = list(col.colours)
-    for i in range(len(verts)):
-        si = set(verts[i])
-        ci = col.colours[verts[i]]
-        for j in range(i + 1, len(verts)):
-            if ci == col.colours[verts[j]] and len(si & set(verts[j])) >= col.t:
-                return False
-    return True
+    clash = colour_clash([col.colours[v] for v in verts],
+                         lambda i: itertools.combinations(verts[i], col.t))
+    return clash is None

@@ -82,3 +82,34 @@ def _dot(F, u, v):
     for a, b in zip(u, v):
         acc = F.add(acc, F.mul(a, b))
     return acc
+
+
+def naive_clash(q, spans, colours, t):
+    """All-pairs properness walk: the first same-colour pair (i, j), i < j,
+    whose spans meet in dimension >= t, or None."""
+    for i in range(len(spans)):
+        for j in range(i + 1, len(spans)):
+            if colours[i] == colours[j] and \
+                    naive_intersection_dim(q, spans[i], spans[j]) >= t:
+                return i, j
+    return None
+
+
+def naive_johnson_clash(subsets, colours, t):
+    """All-pairs walk over m-subsets: the first same-colour pair sharing at
+    least t elements, or None."""
+    for i in range(len(subsets)):
+        for j in range(i + 1, len(subsets)):
+            if colours[i] == colours[j] and \
+                    len(set(subsets[i]) & set(subsets[j])) >= t:
+                return i, j
+    return None
+
+
+def merge_colours(colours, merges, rng):
+    """Relabel one random colour class onto another, `merges` times."""
+    out = list(colours)
+    for _ in range(merges):
+        a, b = rng.sample(sorted(set(out)), 2)
+        out = [b if c == a else c for c in out]
+    return out

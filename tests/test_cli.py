@@ -52,7 +52,23 @@ def test_verify_tampered_exits_2(tmp_path, capsys):
     bad = os.path.join(tmp_path, "bad.json")
     json.dump(doc, open(bad, "w"))
     assert main(["verify", "--cert", bad]) == 2
-    assert "counterexample" in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("counterexample"))
+    assert lines[at + 1].startswith("witness: both contain q=2;n=4;m=1;rows=")
+
+
+def test_colour_verify_failure_exits_2_without_traceback(tmp_path, capsys,
+                                                         monkeypatch):
+    from qchroma import colouring as col
+    real = col._direct_colour
+    monkeypatch.setattr(col, "_direct_colour",
+                        lambda ctx, S: (0,) + real(ctx, S)[1:])
+    out = os.path.join(tmp_path, "cert.json")
+    assert main(["colour", "--q", "2", "--n", "4", "--m", "2", "--t", "1",
+                 "--verify", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "improper colouring" in err
+    assert not os.path.exists(out)
 
 
 def test_verify_missing_vertex_exits_2(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import dataclasses
+import functools
+import random
 
 import pytest
 
+import naive
 from qchroma import colouring as col
 from qchroma.grassmann import (GrassmannParams, adjacent, decode_subspace,
                                dualize, enumerate_subspaces)
@@ -209,3 +212,107 @@ def test_colour_zero_fibre_is_the_base_coset_family():
             assert col.colour_subspace(ctx, S) == 0
             hits += 1
     assert hits > 0
+
+
+# -- fingerprint verification against the all-pairs reference -----------------
+
+EQUIVALENCE_GRAPHS = [(2, 4, 2, 1), (3, 4, 2, 1), (4, 4, 2, 1), (2, 5, 3, 2),
+                      (2, 5, 3, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _certificate_and_spans(p):
+    cert = col.full_colouring(col.make_context(GrassmannParams(*p)), verify=False)
+    spans = [naive.span(p[0], decode_subspace(k).basis.rows) for k, _ in cert.colours]
+    return cert, spans
+
+
+def _assert_witness(q, t, witness, span_a, span_b):
+    shared = decode_subspace(witness)
+    assert shared.m == t
+    assert naive.span(q, shared.basis.rows) <= span_a & span_b
+
+
+@pytest.mark.parametrize("p", EQUIVALENCE_GRAPHS)
+@pytest.mark.parametrize("merges", [0, 1, 2, 5])
+def test_fingerprint_verdict_matches_all_pairs_walk(p, merges):
+    q, t = p[0], p[3]
+    cert, spans = _certificate_and_spans(p)
+    keys = [k for k, _ in cert.colours]
+    for seed in range(9 if merges else 1):
+        colours = naive.merge_colours([c for _, c in cert.colours], merges,
+                                      random.Random(seed))
+        rep = col.verify_properness(
+            dataclasses.replace(cert, colours=tuple(zip(keys, colours))))
+        assert rep.coverage_ok
+        assert rep.proper == (naive.naive_clash(q, spans, colours, t) is None)
+        if rep.proper:
+            assert rep.counterexample is None and rep.witness is None
+            continue
+        a, b, dim = rep.counterexample
+        i, j = keys.index(a), keys.index(b)
+        assert colours[i] == colours[j]
+        assert dim == naive.naive_intersection_dim(q, spans[i], spans[j]) >= t
+        _assert_witness(q, t, rep.witness, spans[i], spans[j])
+
+
+@pytest.mark.parametrize("p", [(2, 4, 2, 1), (3, 4, 2, 1), (2, 5, 3, 2)])
+def test_two_vertex_colour_class_is_judged_by_adjacency(p):
+    # a two-vertex colour class clashes exactly when the pair is adjacent,
+    # whichever t-subspace it shares; every fourth vertex is paired with
+    # all later ones
+    q, t = p[0], p[3]
+    params = GrassmannParams(*p)
+    verts = list(enumerate_subspaces(q, p[1], p[2]))
+    spans = [naive.span(q, S.basis.rows) for S in verts]
+    for i in range(0, len(verts), 4):
+        for j in range(i + 1, len(verts)):
+            clash = col._find_clash([verts[i], verts[j]], [0, 0], params)
+            dim = naive.naive_intersection_dim(q, spans[i], spans[j])
+            assert (clash is not None) == (dim >= t)
+            if clash is not None:
+                (a, b, found), witness = clash
+                assert (decode_subspace(a), decode_subspace(b), found) == \
+                    (verts[i], verts[j], dim)
+                _assert_witness(q, t, witness, spans[i], spans[j])
+
+
+def test_verification_computes_one_intersection_only_on_refusal(monkeypatch):
+    cert = col.full_colouring(col.make_context(GrassmannParams(2, 6, 3, 2)),
+                              verify=False)
+    entries = list(cert.colours)
+    a = decode_subspace(entries[0][0])
+    victim = next(k for k, c in entries[1:] if c != entries[0][1]
+                  and intersection_dim(a.basis, decode_subspace(k).basis) >= 2)
+    tampered = dataclasses.replace(cert, colours=tuple(
+        (k, entries[0][1] if k == victim else c) for k, c in entries))
+    calls = []
+
+    def counted(U, W):
+        calls.append(1)
+        return intersection_dim(U, W)
+    monkeypatch.setattr(col, "intersection_dim", counted)
+    rep = col.verify_properness(cert)
+    assert rep.proper and rep.pairs_checked == 1395 * 1394 // 2
+    assert len(calls) == 0
+    rep = col.verify_properness(tampered)
+    assert rep.coverage_ok and not rep.proper and rep.pairs_checked == 0
+    assert len(calls) == 1
+
+
+def test_coverage_by_count_lists_alien_and_duplicate_keys():
+    cert = col.full_colouring(col.make_context(GrassmannParams(2, 4, 2, 1)))
+    entries = list(cert.colours)
+    alien = "q=2;n=5;m=2;rows=[[1,0,0,0,0],[0,1,0,0,0]]"
+    dropped_alien, dropped_dup = entries[3][0], entries[7][0]
+    entries[3] = (alien, 0)
+    entries[7] = (entries[0][0], 1)
+    rep = col.verify_properness(dataclasses.replace(cert, colours=tuple(entries)))
+    assert not rep.coverage_ok and not rep.proper
+    assert rep.missing == tuple(sorted((dropped_alien, dropped_dup)))
+    assert rep.unexpected == tuple(sorted((alien, entries[0][0])))
+    # all V vertices present plus one alien key: nothing missing, one unexpected
+    extra = cert.colours + (("q=3;n=4;m=2;rows=[[1,0,0,0],[0,1,0,0]]", 0),)
+    rep = col.verify_properness(dataclasses.replace(cert, colours=extra))
+    assert not rep.coverage_ok
+    assert rep.missing == () and rep.unexpected == (extra[-1][0],)

@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
+import random
 from math import comb
 
 import pytest
 
+import naive
 from qchroma import oracle
-from qchroma.johnson import (bose_chowla, greedy_colouring, gs_colouring,
-                             is_proper, johnson_bounds, smallest_prime_geq,
+from qchroma.johnson import (bose_chowla, colour_clash, greedy_colouring,
+                             gs_colouring, is_proper, johnson_bounds, smallest_prime_geq,
                              subsets_lex)
 
 
@@ -117,3 +120,24 @@ def test_invalid_parameters():
         greedy_colouring(4, 4, 1)
     with pytest.raises(ValueError):
         gs_colouring(4, 2, 2)
+
+
+@pytest.mark.parametrize("n,m,t", [(6, 3, 1), (7, 3, 2), (8, 4, 2), (7, 2, 1)])
+@pytest.mark.parametrize("build", [greedy_colouring, gs_colouring])
+def test_is_proper_matches_all_pairs_walk(n, m, t, build):
+    base = build(n, m, t)
+    verts = list(base.colours)
+    for merges in (0, 1, 2, 5):
+        for seed in range(6 if merges else 1):
+            colours = naive.merge_colours([base.colours[v] for v in verts],
+                                          merges, random.Random(seed))
+            col = dataclasses.replace(base, colours=dict(zip(verts, colours)))
+            expected = naive.naive_johnson_clash(verts, colours, t)
+            assert is_proper(col) == (expected is None)
+            clash = colour_clash(colours,
+                                 lambda i: itertools.combinations(verts[i], t))
+            assert (clash is None) == (expected is None)
+            if clash is not None:
+                i, j, shared = clash
+                assert colours[i] == colours[j] and len(shared) == t
+                assert set(shared) <= set(verts[i]) & set(verts[j])
