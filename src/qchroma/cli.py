@@ -106,6 +106,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_colour(args) -> int:
     params = _params(args)
+    col.check_vertex_cap(params, args.cap)  # before the context build
     ctx = col.make_context(params, args.johnson)
     verify = True if args.verify else None
     cert = col.full_colouring(ctx, verify=verify, vertex_cap=args.cap)

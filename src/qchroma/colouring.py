@@ -17,7 +17,19 @@ Parameters fall into three regimes:
   in dimension >= 2m - n >= t, so the graph is complete and every vertex
   gets its own colour (the enumeration index).
 
-`full_colouring` colours every vertex, reports exact integer bounds, and
+`colour_subspace` colours one vertex through `unlift` and `coset_index`.
+`full_colouring` colours the whole graph with a table-driven kernel that
+gives every vertex the same colour and key without building a `Subspace`
+per vertex.  The coset index is a syndrome, F_q-linear in the non-pivot
+block, so `rankmetric.SyndromeTable` holds each cell's contribution per
+value, once per code.  Within one identifying vector the free cells of
+the RREF basis run over F_q^f in `enumerate_subspaces` order: the keys
+fill the identifying vector's `key_template`, and the colours are
+class * block plus the coset index of the summed cell terms (in the dual
+regime, of the orthogonal complement's RREF rows, one vertex at a time).
+In the complete regime the colour is the running index.
+
+`full_colouring` also reports exact integer bounds, and
 (optionally but by default at desk scale) verifies properness before
 sealing the certificate: two vertices are adjacent exactly when they share
 a t-subspace, so no colour class may repeat a t-subspace fingerprint.
@@ -27,22 +39,26 @@ decimal strings; byte-identical across runs for equal inputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 from .grassmann import (GrassmannParams, Subspace, decode_subspace, dualize,
-                        degree_formula, encode_subspace, enumerate_subspaces,
-                        enumeration_index)
+                        degree_formula, encode_subspace, entry_texts,
+                        enumerate_subspaces, enumeration_index, free_cells,
+                        key_template, rref_bases, weight_vectors_lex)
 from .ff import FieldSpec
 from .johnson import (JohnsonColouring, colour_clash, greedy_colouring,
                       gs_colouring)
-from .matq import MatrixFq, gaussian_binomial, intersection_dim
-from .rankmetric import (GabidulinCode, coset_index, gabidulin_build,
-                         min_rank_distance, unlift)
+from .matq import (MatrixFq, gaussian_binomial, intersection_dim,
+                   orthogonal_complement)
+from .rankmetric import (GabidulinCode, SyndromeTable, coset_index,
+                         gabidulin_build, min_rank_distance, unlift)
 
 DEFAULT_VERTEX_CAP = 100_000
 AUTO_VERIFY_LIMIT = 20_000
 DISTANCE_VERIFY_LIMIT = 2 ** 20
+MISSING_LIST_SLACK = 1_000  # verify lists missing keys up to this many beyond the given ones
 
 DIRECT, DUAL, COMPLETE = "direct", "dual", "complete"
 
@@ -136,10 +152,16 @@ class VerificationReport:
     missing: tuple[str, ...]
     unexpected: tuple[str, ...]
     witness: str | None = None        # key of a t-subspace the counterexample shares
+    declared: int = 0                 # on a coverage error: the graph's vertex count
+    given: int = 0                    # on a coverage error: the certificate's key count
 
     def message(self) -> str:
         if not self.coverage_ok:
-            return (f"coverage error: {len(self.missing)} missing, "
+            counts = f"coverage error: {self.given} keys for {self.declared} vertices"
+            if self.declared - self.given > MISSING_LIST_SLACK:
+                return (f"{counts}; too many missing to list, "
+                        f"{len(self.unexpected)} unexpected vertices")
+            return (f"{counts}; {len(self.missing)} missing, "
                     f"{len(self.unexpected)} unexpected vertices")
         if self.proper:
             return f"proper colouring; {self.pairs_checked} vertex pairs checked"
@@ -202,38 +224,104 @@ def bounds_report(params: GrassmannParams, johnson_method: str = "greedy",
             "trivial_upper": trivial_upper, "johnson_palette": johnson_palette}
 
 
-def full_colouring(ctx: ColourContext, verify: bool | None = None,
-                   vertex_cap: int = DEFAULT_VERTEX_CAP) -> ColourCertificate:
-    """Colour every vertex; verify properness by default at desk scale."""
-    params = ctx.params
+def check_vertex_cap(params: GrassmannParams, vertex_cap: int) -> int:
+    """The vertex count, or ValueError when it exceeds the cap."""
     total = params.vertex_count()
     if total > vertex_cap:
         raise ValueError(f"vertex count {total} exceeds the cap {vertex_cap}")
+    return total
+
+
+class _CosetColourer:
+    """Direct-regime colours read from the code's syndrome table.
+
+    Per pivot tuple it keeps the colour base class * block, the coset
+    family counts and the table row of each free cell, so a vertex's
+    colour is its base plus the coset index of the sum of its cells' terms.
+    """
+
+    def __init__(self, ctx: ColourContext):
+        self.ctx = ctx
+        self.table = SyndromeTable(ctx.code)
+        self.families: dict[str, dict[int, int]] = {}
+        self._specs: dict[tuple[int, ...], tuple] = {}
+
+    def _spec(self, pivots: tuple[int, ...]):
+        spec = self._specs.get(pivots)
+        if spec is None:
+            ctx = self.ctx
+            u = tuple(1 if j in pivots else 0 for j in range(ctx.params.n))
+            column = {j: k for k, j in enumerate(j for j, b in enumerate(u) if not b)}
+            h = ctx.code.h
+            cells = [(i, j, self.table.terms[i * h + column[j]]) for i, j in free_cells(u)]
+            family = self.families.setdefault("".join(str(b) for b in u), {})
+            spec = self._specs[pivots] = (ctx.class_of_idvec[u] * ctx.coset_block,
+                                          family, cells)
+        return spec
+
+    def block(self, idvec: tuple[int, ...]) -> list[int]:
+        """Colours of all vertices with this identifying vector, in `rref_bases` order."""
+        base, family, cells = self._spec(tuple(j for j, b in enumerate(idvec) if b))
+        totals = [0]
+        for _, _, terms in reversed(cells):  # the first cell varies slowest
+            totals = [a + b for a in terms for b in totals]
+        cosets = self.table.indices(totals)
+        for c in cosets:
+            family[c] = family.get(c, 0) + 1
+        return [base + c for c in cosets]
+
+    def colour(self, rows: tuple[tuple[int, ...], ...]) -> int:
+        """Colour of the vertex with this RREF basis."""
+        base, family, cells = self._spec(tuple(row.index(1) for row in rows))
+        c = self.table.index(sum(terms[rows[i][j]] for i, j, terms in cells))
+        family[c] = family.get(c, 0) + 1
+        return base + c
+
+
+def full_colouring(ctx: ColourContext, verify: bool | None = None,
+                   vertex_cap: int = DEFAULT_VERTEX_CAP) -> ColourCertificate:
+    """Colour every vertex; verify properness by default at desk scale.
+
+    Vertices are walked one identifying vector at a time, in
+    `enumerate_subspaces` order.  Keys fill the identifying vector's
+    `key_template`; colours come from `_CosetColourer` (direct: all at once
+    from the syndrome table; dual: per vertex, from the RREF rows of the
+    orthogonal complement) or are the running index (complete).  RREF rows
+    are built only for the dual regime and for verification.
+    """
+    params = ctx.params
+    total = check_vertex_cap(params, vertex_cap)
     if verify is None:
         verify = total <= AUTO_VERIFY_LIMIT
 
+    field = params.field
+    texts = entry_texts(field)
+    colourer = None if ctx.regime == COMPLETE else _CosetColourer(ctx.effective)
     entries: list[tuple[str, int]] = []
-    vertices: list[Subspace] = []
     colours: list[int] = []
-    families: dict[str, dict[int, int]] = {}
-    eff = ctx.effective
-    for S in enumerate_subspaces(params.q, params.n, params.m):
+    bases: list[tuple[tuple[int, ...], ...]] = []  # kept only to verify
+    for idvec in weight_vectors_lex(params.n, params.m):
+        template = key_template(field, idvec)
+        keys = [template.format(*values) for values in
+                itertools.product(texts, repeat=len(free_cells(idvec)))]
+        rows = (list(rref_bases(params.q, idvec))
+                if verify or ctx.regime == DUAL else None)
         if ctx.regime == COMPLETE:
-            c = enumeration_index(S)
+            block = range(len(colours), len(colours) + len(keys))
+        elif ctx.regime == DIRECT:
+            block = colourer.block(idvec)
         else:
-            inner_S = dualize(S) if ctx.regime == DUAL else S
-            c, u, i = _direct_colour(eff, inner_S)
-            ukey = "".join(str(b) for b in u)
-            fam = families.setdefault(ukey, {})
-            fam[i] = fam.get(i, 0) + 1
-        entries.append((encode_subspace(S), c))
-        vertices.append(S)
-        colours.append(c)
+            block = [colourer.colour(orthogonal_complement(MatrixFq(field, r)).rows)
+                     for r in rows]
+        entries.extend(zip(keys, block))
+        colours.extend(block)
+        if verify:
+            bases.extend(rows)
 
     proper: bool | None = None
     pairs_checked = 0
     if verify:
-        clash = _find_clash(vertices, colours, params)
+        clash = _find_clash(bases, colours, params)
         if clash is not None:
             cex, witness = clash
             raise AssertionError(f"construction produced an improper colouring: "
@@ -249,7 +337,7 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
     if ctx.code is not None:
         code_params = {"q": ctx.code.q, "m": ctx.code.m, "h": ctx.code.h,
                        "d": ctx.code.d, "distance_verified": ctx.distance_verified}
-    entries.sort(key=lambda e: e[0])
+    entries.sort()  # keys are distinct, so this is the key order
     return ColourCertificate(
         params=params, regime=ctx.regime,
         johnson_method=ctx.johnson.method if ctx.johnson else None,
@@ -257,7 +345,8 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
         code_params=code_params, colours=tuple(entries),
         palette_used=palette_used,
         bounds={k: bounds[k] for k in ("lower", "theorem_upper", "trivial_upper")},
-        proper=proper, pairs_checked=pairs_checked, family_sizes=families)
+        proper=proper, pairs_checked=pairs_checked,
+        family_sizes=colourer.families if colourer else {})
 
 
 def _span_combination(field: FieldSpec, coeffs: tuple[int, ...],
@@ -273,7 +362,7 @@ def _span_combination(field: FieldSpec, coeffs: tuple[int, ...],
     return tuple(acc)
 
 
-def _find_clash(vertices: list[Subspace], colours: list[int],
+def _find_clash(bases: list[tuple[tuple[int, ...], ...]], colours: list[int],
                 params: GrassmannParams
                 ) -> tuple[tuple[str, str, int], str] | None:
     """A same-colour pair of intersection dim >= t and a shared t-subspace.
@@ -285,17 +374,19 @@ def _find_clash(vertices: list[Subspace], colours: list[int],
     F_q^m.  With both C and B in RREF, C·B is itself in RREF (its pivot
     columns are B's pivot columns picked by C's pivots, where C·B repeats
     the columns of C), so C·B is the canonical fingerprint as computed.
-    Only the reported pair's intersection is computed.  Returns
+    `bases` holds each vertex's RREF rows; only the reported pair's
+    intersection is computed and only it is built as a `Subspace`.  Returns
     ((key S, key T, dim), witness key) or None when the colouring is proper.
     """
     field = params.field
-    bases = [S.basis.rows for S in enumerate_subspaces(params.q, params.m, params.t)]
-    coeff_rows = sorted({r for C in bases for r in C})
+    combos = [C for u in weight_vectors_lex(params.m, params.t)
+              for C in rref_bases(params.q, u)]
+    coeff_rows = sorted({r for C in combos for r in C})
     row_at = {r: k for k, r in enumerate(coeff_rows)}
-    shapes = [tuple(row_at[r] for r in C) for C in bases]
+    shapes = [tuple(row_at[r] for r in C) for C in combos]
 
     def fingerprints(i: int):
-        basis = vertices[i].basis.rows
+        basis = bases[i]
         vecs = [_span_combination(field, r, basis) for r in coeff_rows]
         return [tuple(vecs[k] for k in C) for C in shapes]
 
@@ -303,7 +394,7 @@ def _find_clash(vertices: list[Subspace], colours: list[int],
     if clash is None:
         return None
     i, j, shared = clash
-    S, T = vertices[i], vertices[j]
+    S, T = (Subspace(MatrixFq(field, bases[k])) for k in (i, j))
     dim = intersection_dim(S.basis, T.basis)
     witness = encode_subspace(Subspace(MatrixFq(field, shared)))
     return (encode_subspace(S), encode_subspace(T), dim), witness
@@ -315,7 +406,10 @@ def verify_properness(cert: ColourCertificate) -> VerificationReport:
     Every key must decode to an m-subspace of this graph's F_q^n and
     re-encode to itself, once.  Distinct canonical keys are distinct
     vertices, so V such keys cover the Grassmannian; the expected key set
-    is enumerated only to list what is missing on refusal.  Properness is
+    is enumerated only to list what is missing on refusal, and only when
+    the graph has at most MISSING_LIST_SLACK more vertices than the
+    certificate has keys, so a refusal costs time linear in the
+    certificate's size.  Properness is
     the fingerprint check of `_find_clash`; `pairs_checked` is the C(V, 2)
     pairs it certifies, and 0 when it refuses.
     """
@@ -323,7 +417,7 @@ def verify_properness(cert: ColourCertificate) -> VerificationReport:
     shape = (params.q, params.n, params.m)
     seen: set[str] = set()
     invalid: list[str] = []
-    vertices: list[Subspace] = []
+    bases: list[tuple[tuple[int, ...], ...]] = []
     colours: list[int] = []
     for key, colour in cert.colours:
         try:
@@ -336,18 +430,22 @@ def verify_properness(cert: ColourCertificate) -> VerificationReport:
             invalid.append(key)
             continue
         seen.add(key)
-        vertices.append(S)
+        bases.append(S.basis.rows)
         colours.append(colour)
-    if invalid or len(seen) != params.vertex_count():
+    declared = params.vertex_count()
+    if invalid or len(seen) != declared:
         # every key in `seen` is an expected key, so only `invalid` is unexpected
-        expected = {encode_subspace(S) for S in enumerate_subspaces(*shape)}
-        return VerificationReport(False, 0, None, False,
-                                  tuple(sorted(expected - seen)),
-                                  tuple(sorted(set(invalid))))
-    clash = _find_clash(vertices, colours, params)
+        missing = ()
+        if declared - len(cert.colours) <= MISSING_LIST_SLACK:
+            expected = {encode_subspace(S) for S in enumerate_subspaces(*shape)}
+            missing = tuple(sorted(expected - seen))
+        return VerificationReport(False, 0, None, False, missing,
+                                  tuple(sorted(set(invalid))),
+                                  declared=declared, given=len(cert.colours))
+    clash = _find_clash(bases, colours, params)
     if clash is not None:
         return VerificationReport(False, 0, clash[0], True, (), (), clash[1])
-    nv = len(vertices)
+    nv = len(bases)
     return VerificationReport(True, nv * (nv - 1) // 2, None, True, (), ())
 
 

@@ -7,8 +7,10 @@ enumeration order and the colouring pipeline.
 
 Enumeration is deterministic: identifying vectors ascend lexicographically
 and, within one identifying vector, the free entries of the basis count up
-in row-major base-q order.  Certificates refer to vertices through the
-canonical text encoding produced by `encode_subspace`.
+in row-major base-q order (`rref_bases`).  Certificates refer to vertices
+through the canonical text encoding produced by `encode_subspace`;
+`key_template` renders the same text once per identifying vector, with a
+slot per free entry, for callers that walk a whole identifying vector.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ff import FieldSpec, field_for_order, prime_power
 from .matq import (MatrixFq, gaussian_binomial, intersection_dim, is_rref,
@@ -125,22 +127,32 @@ def free_cells(idvec: Sequence[int]) -> list[tuple[int, int]]:
     return [(i, j) for i in range(len(pivots)) for j in nonpivots if j > pivots[i]]
 
 
+def rref_bases(q: int, idvec: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Rows of every RREF basis with these pivots, free entries counting up.
+
+    The free cells take their values in `itertools.product` order over
+    `free_cells(idvec)`: row-major, base q, the last cell fastest.
+    """
+    pivots = [j for j, b in enumerate(idvec) if b]
+    cells = free_cells(idvec)
+    template = [[0] * len(idvec) for _ in pivots]
+    for i, p in enumerate(pivots):
+        template[i][p] = 1
+    for values in itertools.product(range(q), repeat=len(cells)):
+        rows = [row[:] for row in template]
+        for (i, j), v in zip(cells, values):
+            rows[i][j] = v
+        yield tuple(tuple(r) for r in rows)
+
+
 def enumerate_subspaces(q: int, n: int, m: int) -> Iterator[Subspace]:
     """Every m-subspace of F_q^n exactly once, in canonical order."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     field = field_for_order(q)
     for idvec in weight_vectors_lex(n, m):
-        pivots = [j for j, b in enumerate(idvec) if b]
-        cells = free_cells(idvec)
-        template = [[0] * n for _ in range(m)]
-        for i, p in enumerate(pivots):
-            template[i][p] = 1
-        for values in itertools.product(range(q), repeat=len(cells)):
-            rows = [row[:] for row in template]
-            for (i, j), v in zip(cells, values):
-                rows[i][j] = v
-            yield Subspace(MatrixFq(field, tuple(tuple(r) for r in rows)))
+        for rows in rref_bases(q, idvec):
+            yield Subspace(MatrixFq(field, rows))
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,6 +221,11 @@ def _entry_from_text(field: FieldSpec, text: str) -> int:
     return field.index_of(digits)
 
 
+def _render_key(q: int, n: int, m: int, rows: Iterable[Iterable[str]]) -> str:
+    body = ",".join("[" + ",".join(row) + "]" for row in rows)
+    return f"q={q};n={n};m={m};rows=[{body}]"
+
+
 def encode_subspace(S: Subspace) -> str:
     """Bit-exact vertex key: q, n, m and the RREF rows as digit strings.
 
@@ -216,10 +233,29 @@ def encode_subspace(S: Subspace) -> str:
     a prime-field entry is a single base-p digit.
     """
     field = S.basis.field
-    rows = ",".join(
-        "[" + ",".join(_entry_to_text(field, v) for v in row) + "]"
-        for row in S.basis.rows)
-    return f"q={S.q};n={S.n};m={S.m};rows=[{rows}]"
+    return _render_key(S.q, S.n, S.m,
+                       ((_entry_to_text(field, v) for v in row) for row in S.basis.rows))
+
+
+def entry_texts(field: FieldSpec) -> list[str]:
+    """The key text of every field element, by index."""
+    return [_entry_to_text(field, v) for v in range(field.order)]
+
+
+def key_template(field: FieldSpec, idvec: Sequence[int]) -> str:
+    """`encode_subspace` of the RREF bases with pivots `idvec`, as a format string.
+
+    The pivot 1s and the forced 0s are rendered; each free cell is a `{}`
+    slot, in `free_cells` order, to be filled from `entry_texts`.
+    """
+    zero, one = _entry_to_text(field, 0), _entry_to_text(field, 1)
+    pivots = [j for j, b in enumerate(idvec) if b]
+    rows = [[zero] * len(idvec) for _ in pivots]
+    for i, p in enumerate(pivots):
+        rows[i][p] = one
+    for i, j in free_cells(idvec):
+        rows[i][j] = "{}"
+    return _render_key(field.order, len(idvec), len(pivots), rows)
 
 
 def decode_subspace(text: str) -> Subspace:

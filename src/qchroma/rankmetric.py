@@ -184,13 +184,96 @@ def min_rank_distance(code: GabidulinCode, scan_limit: int = _DISTANCE_SCAN_LIMI
 def coset_index(code: GabidulinCode, A: MatrixFq) -> int:
     """Base-q value of A's complement coordinates; constant on cosets of C."""
     code._check_shape(A)
-    vec = code._reduce(list(_flatten(A)))
+    return _complement_value(code, code._reduce(list(_flatten(A))))
+
+
+def _complement_value(code: GabidulinCode, vec: list[int]) -> int:
     val = 0
     scale = 1
     for c in code._nonpivots:
         val += vec[c] * scale
         scale *= code.q
     return val
+
+
+_FOLD_BITS = 12  # the fold table reads this many bits of a slot sum at a time
+
+
+class SyndromeTable:
+    """`coset_index` of one code as a sum of per-cell terms, built once.
+
+    The complement coordinates of A are F_q-linear in vec(A): coordinate
+    k is A[c_k] - sum_i A[p_i] R_i[c_k], with p_i the pivots, c_k the
+    non-pivots and R_i the rows of the code's RREF basis.  So the cell x
+    holding v contributes the fixed digit vector v·s(x), where s(x) is the
+    unit digit at a non-pivot and minus the code row restricted to the
+    non-pivots at a pivot; `terms[x][v]` holds it, x the row-major cell of
+    the m x h block.
+
+    The base-p digits of a coset index are the F_p coordinates of its F_q
+    digits (q = p^k, an F_q index is base p), and F_q addition is digitwise
+    addition mod p.  A term stores base-p digit j of v·s(x) in bit slot j
+    of `width` bits, wide enough for one term per cell, so integer sums of
+    terms add digit vectors without carries.  `index` reduces each slot
+    mod p and reads the slots back as the coset index.
+    """
+
+    __slots__ = ("terms", "width", "_fold", "_fold_bits", "_fold_base", "_passes")
+
+    def __init__(self, code: GabidulinCode):
+        p = code.field.p
+        cells = code.m * code.h
+        self.width = width = (cells * (p - 1)).bit_length()
+        terms = []
+        for x in range(cells):
+            row = []
+            for v in range(code.q):
+                vec = [0] * cells
+                vec[x] = v
+                digits = _base_digits(_complement_value(code, code._reduce(vec)), p)
+                row.append(sum(d << (width * j) for j, d in enumerate(digits)))
+            terms.append(tuple(row))
+        self.terms = tuple(terms)
+        # one table lookup reduces `per` slots at a time
+        per = max(1, _FOLD_BITS // width)
+        digits = len(_base_digits(code.num_cosets - 1, p))
+        self._passes = -(-digits // per)
+        self._fold_bits = per * width
+        self._fold_base = p ** per
+        slot = (1 << width) - 1
+        self._fold = [sum((s >> (width * j) & slot) % p * p ** j for j in range(per))
+                      for s in range(1 << self._fold_bits)]
+
+    def index(self, total: int) -> int:
+        """The coset index of a sum of terms."""
+        fold, bits, mask = self._fold, self._fold_bits, (1 << self._fold_bits) - 1
+        out = 0
+        scale = 1
+        while total:
+            out += fold[total & mask] * scale
+            total >>= bits
+            scale *= self._fold_base
+        return out
+
+    def indices(self, totals: list[int]) -> list[int]:
+        """`index` of every sum, one pass per table lookup."""
+        fold, bits, mask = self._fold, self._fold_bits, (1 << self._fold_bits) - 1
+        out = [fold[s & mask] for s in totals]
+        shift, scale = bits, self._fold_base
+        for _ in range(1, self._passes):
+            out = [o + fold[s >> shift & mask] * scale for o, s in zip(out, totals)]
+            shift += bits
+            scale *= self._fold_base
+        return out
+
+
+def _base_digits(value: int, p: int) -> list[int]:
+    """Base-p digits of value, least significant first."""
+    digits = []
+    while value:
+        value, digit = divmod(value, p)
+        digits.append(digit)
+    return digits
 
 
 def coset_representative(code: GabidulinCode, i: int) -> MatrixFq:

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 from qchroma.cli import main
 from qchroma.matq import gaussian_binomial
@@ -60,9 +61,9 @@ def test_verify_tampered_exits_2(tmp_path, capsys):
 def test_colour_verify_failure_exits_2_without_traceback(tmp_path, capsys,
                                                          monkeypatch):
     from qchroma import colouring as col
-    real = col._direct_colour
-    monkeypatch.setattr(col, "_direct_colour",
-                        lambda ctx, S: (0,) + real(ctx, S)[1:])
+    real = col._CosetColourer.block
+    monkeypatch.setattr(col._CosetColourer, "block",
+                        lambda self, idvec: [0 for _ in real(self, idvec)])
     out = os.path.join(tmp_path, "cert.json")
     assert main(["colour", "--q", "2", "--n", "4", "--m", "2", "--t", "1",
                  "--verify", "--out", out]) == 2
@@ -141,6 +142,32 @@ def test_colour_cap_exit_1(tmp_path):
     assert main(["colour", "--q", "2", "--n", "6", "--m", "3", "--t", "1",
                  "--cap", "100"]) == 1
     assert gaussian_binomial(6, 3, 2) == 1395  # what the cap protected against
+
+
+def test_colour_cap_is_checked_before_the_context_build(monkeypatch, capsys):
+    from qchroma import colouring as col
+
+    def no_context(*args):
+        raise AssertionError("context built for a refused graph")
+    monkeypatch.setattr(col, "make_context", no_context)
+    start = time.perf_counter()
+    assert main(["colour", "--q", "2", "--n", "16", "--m", "8", "--t", "1"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_verify_over_large_declared_graph_exits_2_quickly(tmp_path, capsys):
+    cert = os.path.join(tmp_path, "cert.json")
+    main(["colour", "--q", "2", "--n", "4", "--m", "2", "--t", "1", "--out", cert])
+    doc = json.load(open(cert))
+    doc["params"].update(n="24", m="12")
+    bad = os.path.join(tmp_path, "relabelled.json")
+    json.dump(doc, open(bad, "w"))
+    start = time.perf_counter()
+    assert main(["verify", "--cert", bad]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"35 keys for {gaussian_binomial(24, 12, 2)} vertices" in err
 
 
 def test_complete_regime_through_cli(tmp_path):

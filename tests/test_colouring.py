@@ -1,13 +1,15 @@
 import dataclasses
 import functools
 import random
+import time
 
 import pytest
 
 import naive
 from qchroma import colouring as col
+from qchroma import grassmann, rankmetric
 from qchroma.grassmann import (GrassmannParams, adjacent, decode_subspace,
-                               dualize, enumerate_subspaces)
+                               dualize, encode_subspace, enumerate_subspaces)
 from qchroma.matq import gaussian_binomial, intersection_dim
 
 
@@ -184,6 +186,21 @@ def test_verify_properness_detects_missing_and_unexpected():
     assert rep.missing and rep.unexpected
 
 
+def test_verify_refuses_an_over_large_declared_graph_quickly():
+    # relabelled as J_2(24,12,1), a (2,4,2,1) certificate is refused by counts;
+    # the [24,12]_2 expected keys are never enumerated
+    cert = col.full_colouring(col.make_context(GrassmannParams(2, 4, 2, 1)))
+    declared = gaussian_binomial(24, 12, 2)
+    start = time.perf_counter()
+    rep = col.verify_properness(
+        dataclasses.replace(cert, params=GrassmannParams(2, 24, 12, 1)))
+    assert time.perf_counter() - start < 1.0
+    assert not rep.coverage_ok and not rep.proper
+    assert rep.missing == () and rep.unexpected == tuple(k for k, _ in cert.colours)
+    assert (rep.declared, rep.given) == (declared, 35)
+    assert f"35 keys for {declared} vertices" in rep.message()
+
+
 def test_verify_properness_accepts_intact_certificate():
     cert = col.full_colouring(col.make_context(GrassmannParams(2, 4, 2, 1)))
     rep = col.verify_properness(cert)
@@ -198,6 +215,47 @@ def test_unverified_certificate_roundtrips_and_can_be_checked_later():
     assert again.proper is None
     rep = col.verify_properness(again)
     assert rep.proper and rep.pairs_checked == 595
+
+
+@pytest.mark.parametrize("p", [(2, 6, 3, 2), (4, 5, 2, 1), (9, 4, 2, 1),
+                               (2, 5, 3, 2), (3, 6, 4, 3), (2, 5, 3, 1)])
+def test_kernel_matches_per_vertex_reference(p):
+    # the table-driven kernel gives every vertex the key and colour of the
+    # per-vertex route, and the same coset families
+    ctx = col.make_context(GrassmannParams(*p))
+    cert = col.full_colouring(ctx, verify=False)
+    want = {}
+    families = {}
+    for S in enumerate_subspaces(*p[:3]):
+        want[encode_subspace(S)] = col.colour_subspace(ctx, S)
+        if ctx.regime != "complete":
+            u, A = rankmetric.unlift(dualize(S) if ctx.regime == "dual" else S)
+            fam = families.setdefault("".join(map(str, u)), {})
+            i = rankmetric.coset_index(ctx.code, A)
+            fam[i] = fam.get(i, 0) + 1
+    assert len(cert.colours) == len(want) == gaussian_binomial(p[1], p[2], p[0])
+    assert cert.colour_map() == want
+    assert cert.family_sizes == families
+
+
+@pytest.mark.parametrize("p", [(2, 6, 3, 2), (2, 5, 3, 2), (2, 5, 3, 1)])
+def test_unverified_colouring_builds_no_subspace_and_no_coset_index(p, monkeypatch):
+    counts = {"Subspace": 0, "coset_index": 0}
+    init = grassmann.Subspace.__init__
+
+    def counted_init(self, basis):
+        counts["Subspace"] += 1
+        init(self, basis)
+
+    def counted_coset_index(code, A):
+        counts["coset_index"] += 1
+        return rankmetric.coset_index(code, A)
+    ctx = col.make_context(GrassmannParams(*p))
+    monkeypatch.setattr(grassmann.Subspace, "__init__", counted_init)
+    monkeypatch.setattr(col, "coset_index", counted_coset_index)
+    cert = col.full_colouring(ctx, verify=False)
+    assert len(cert.colours) == gaussian_binomial(p[1], p[2], p[0])
+    assert counts == {"Subspace": 0, "coset_index": 0}
 
 
 def test_colour_zero_fibre_is_the_base_coset_family():
@@ -267,7 +325,8 @@ def test_two_vertex_colour_class_is_judged_by_adjacency(p):
     spans = [naive.span(q, S.basis.rows) for S in verts]
     for i in range(0, len(verts), 4):
         for j in range(i + 1, len(verts)):
-            clash = col._find_clash([verts[i], verts[j]], [0, 0], params)
+            clash = col._find_clash([verts[i].basis.rows, verts[j].basis.rows],
+                                    [0, 0], params)
             dim = naive.naive_intersection_dim(q, spans[i], spans[j])
             assert (clash is not None) == (dim >= t)
             if clash is not None:

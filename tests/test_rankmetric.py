@@ -6,9 +6,9 @@ from qchroma.ff import field_for_order, field_make
 from qchroma.grassmann import Subspace, enumerate_subspaces, weight_vectors_lex
 from qchroma.matq import (MatrixFq, all_matrices, intersection_dim, is_rref,
                           rank)
-from qchroma.rankmetric import (coset_index, coset_representative,
-                                gabidulin_build, lift, min_rank_distance,
-                                unlift)
+from qchroma.rankmetric import (SyndromeTable, coset_index,
+                                coset_representative, gabidulin_build, lift,
+                                min_rank_distance, unlift)
 
 F2 = field_make(2, 1)
 
@@ -80,6 +80,21 @@ def test_coset_index_constant_exactly_on_cosets():
         for B in mats:
             same = coset_index(code, A) == coset_index(code, B)
             assert same == code.contains(_sub(A, B))
+
+
+@pytest.mark.parametrize("q,m,h,d", [(2, 2, 2, 2), (2, 2, 3, 2), (3, 2, 2, 2),
+                                     (4, 2, 2, 2), (5, 2, 2, 2), (9, 2, 2, 2),
+                                     (2, 3, 3, 2), (2, 3, 3, 3), (4, 1, 3, 1)])
+def test_syndrome_table_agrees_with_coset_index_on_every_matrix(q, m, h, d):
+    code = gabidulin_build(q, m, h, d)
+    table = SyndromeTable(code)
+    mats = list(all_matrices(code.field, m, h))
+    totals = [sum(table.terms[x][v] for x, v in enumerate(v for row in A.rows for v in row))
+              for A in mats]
+    want = [coset_index(code, A) for A in mats]
+    assert [table.index(s) for s in totals] == want
+    assert table.indices(totals) == want
+    assert sorted(set(want)) == list(range(code.num_cosets))
 
 
 def test_coset_representative_roundtrip():
