@@ -50,14 +50,14 @@ from .grassmann import (GrassmannParams, Subspace, decode_subspace, dualize,
 from .ff import FieldSpec
 from .johnson import (JohnsonColouring, colour_clash, greedy_colouring,
                       gs_colouring)
-from .matq import (MatrixFq, gaussian_binomial, intersection_dim,
-                   orthogonal_complement)
-from .rankmetric import (GabidulinCode, SyndromeTable, coset_index,
-                         gabidulin_build, min_rank_distance, unlift)
+from .matq import (MatrixFq, _complement_of_rref, gaussian_binomial,
+                   intersection_dim)
+from .rankmetric import (DISTANCE_SCAN_LIMIT, GabidulinCode, SyndromeTable,
+                         coset_index, gabidulin_build, min_rank_distance,
+                         unlift)
 
 DEFAULT_VERTEX_CAP = 100_000
 AUTO_VERIFY_LIMIT = 20_000
-DISTANCE_VERIFY_LIMIT = 2 ** 20
 MISSING_LIST_SLACK = 1_000  # verify lists missing keys up to this many beyond the given ones
 
 DIRECT, DUAL, COMPLETE = "direct", "dual", "complete"
@@ -118,7 +118,7 @@ def make_context(params: GrassmannParams, johnson_method: str = "greedy") -> Col
         idvec = tuple(1 if i + 1 in subset else 0 for i in range(n))
         class_of_idvec[idvec] = dense[c]
     code = gabidulin_build(q, m, n - m, m - t + 1)
-    distance_verified = code.size <= DISTANCE_VERIFY_LIMIT
+    distance_verified = code.size <= DISTANCE_SCAN_LIMIT
     if distance_verified and min_rank_distance(code) != code.d:
         raise AssertionError("constructed code misses its design distance")
     return ColourContext(params, regime, jc, code, class_of_idvec,
@@ -311,7 +311,8 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
         elif ctx.regime == DIRECT:
             block = colourer.block(idvec)
         else:
-            block = [colourer.colour(orthogonal_complement(MatrixFq(field, r)).rows)
+            pivots = [j for j, b in enumerate(idvec) if b]
+            block = [colourer.colour(_complement_of_rref(field, r, pivots))
                      for r in rows]
         entries.extend(zip(keys, block))
         colours.extend(block)

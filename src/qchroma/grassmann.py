@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .ff import FieldSpec, field_for_order, prime_power
-from .matq import (MatrixFq, gaussian_binomial, intersection_dim, is_rref,
-                   orthogonal_complement, rank, rref)
+from .matq import (MatrixFq, _complement_of_rref, gaussian_binomial,
+                   intersection_dim, is_rref, rank, rref)
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,9 @@ def degree_formula(params: GrassmannParams) -> int:
 
 def dualize(S: Subspace) -> Subspace:
     """Orthogonal dual under the standard dot product, canonicalized."""
-    return Subspace(orthogonal_complement(S.basis))
+    basis = S.basis
+    return Subspace(MatrixFq(basis.field, _complement_of_rref(
+        basis.field, basis.rows, S.pivot_columns())))
 
 
 # -- canonical text encoding --------------------------------------------------

@@ -178,22 +178,33 @@ def orthogonal_complement(U: MatrixFq) -> MatrixFq:
 
     U must have full row rank; the result has ncols - nrows rows.
     """
-    field = U.field
-    n = U.ncols
     R, pivots = rref(U)
     if len(pivots) != U.nrows:
         raise ValueError("rank-deficient input")
-    free = [j for j in range(n) if j not in set(pivots)]
-    rows = []
+    return MatrixFq(U.field, _complement_of_rref(U.field, R.rows, pivots))
+
+
+def _complement_of_rref(field: FieldSpec, rows: Sequence[Sequence[int]],
+                        pivots: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """RREF rows of the dual of a full-rank RREF basis with these pivots.
+
+    For a basis already in RREF (a `Subspace` basis, or the rows of one
+    identifying vector), this skips the elimination `orthogonal_complement`
+    runs on its input.
+    """
+    n = len(rows[0]) if rows else 0
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    out = []
     for f in free:
         w = [0] * n
         w[f] = 1
         for i, pc in enumerate(pivots):
-            w[pc] = field.neg(R.rows[i][f])
-        rows.append(w)
-    pivots2 = _eliminate(field, rows, reduced=True)
+            w[pc] = field.neg(rows[i][f])
+        out.append(w)
+    pivots2 = _eliminate(field, out, reduced=True)
     assert len(pivots2) == len(free)
-    return MatrixFq(field, tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in out)
 
 
 def gaussian_binomial(n: int, m: int, q: int) -> int:

@@ -9,6 +9,13 @@ code is F_q-linear of size q^{hk} and its minimum rank distance meets the
 Singleton-like bound  |C| <= q^{max(m,h)(min(m,h)-d+1)}  with equality,
 i.e. d = m - k + 1.
 
+The code is also F_{q^h}-linear: the F_q basis is laid out as
+basis[i*h + s] = g^s b_i (i < k, s < h), so the codewords are the words
+sum_i alpha_i b_i with alpha_i in F_{q^h}.  Scaling every row's element by
+a nonzero alpha right-multiplies the matrix by an invertible h x h matrix
+and keeps its rank, so `min_rank_distance` ranks one word per F_{q^h}-line,
+(q^{hk} - 1)/(q^h - 1) words in all, after checking that layout.
+
 Cosets of the code are addressed by reading the complement coordinates of
 a matrix (the non-pivot coordinates after reduction against the code's
 RREF basis) as a base-q integer: two matrices share an index exactly when
@@ -21,13 +28,14 @@ matrix columns, in order, at the 0-positions.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Sequence
 
 from .ff import FieldSpec, field_for_order, relative_extension
 from .matq import MatrixFq, rank
 from .grassmann import Subspace
 
-_DISTANCE_SCAN_LIMIT = 2 ** 20
+DISTANCE_SCAN_LIMIT = 2 ** 20  # codes larger than this are not scanned
 
 
 class GabidulinCode:
@@ -161,24 +169,55 @@ def gabidulin_build(q: int, m: int, h: int, d: int) -> GabidulinCode:
     return GabidulinCode(field, ext, m, h, d, points, tuple(basis))
 
 
-def min_rank_distance(code: GabidulinCode, scan_limit: int = _DISTANCE_SCAN_LIMIT) -> int:
-    """Exhaustive minimum rank over nonzero codewords (linearity covers pairs)."""
+def min_rank_distance(code: GabidulinCode, scan_limit: int = DISTANCE_SCAN_LIMIT) -> int:
+    """Exact minimum rank over nonzero codewords (linearity covers pairs).
+
+    Only one word per F_{q^h}-line is ranked: sum_i alpha_i b_i with its
+    first nonzero alpha_i equal to 1, (q^{hk} - 1)/(q^h - 1) words.  Row j
+    of a codeword is the F_q coordinate vector of an element of F_{q^h};
+    multiplying every row's element by alpha != 0 right-multiplies the
+    matrix by an invertible h x h matrix, so every nonzero word has the
+    rank of its line's representative.  This rests on the basis layout
+    basis[i*h + s] = g^s b_i, so the scan first re-derives every basis word
+    from b_i = basis[i*h] (g^s is the power-basis element of index q^s) and
+    raises AssertionError on any difference instead of returning a distance.
+    `scan_limit` bounds the code size, not the number of words ranked.
+    """
     if code.size < 2:
         raise ValueError("code has fewer than two words")
     if code.size > scan_limit:
         raise ValueError(f"code size {code.size} exceeds the scan limit {scan_limit}")
+    field, ext, h = code.field, code.ext, code.h
+    if len(code.basis) != code.dim * h:
+        raise AssertionError("code basis does not have dim * h words")
+    lines = []  # the rows of each b_i as elements of F_{q^h}
+    for i in range(code.dim):
+        elems = [ext.index_of(row) for row in code.basis[i * h].rows]
+        for s in range(h):
+            derived = tuple(ext.coeffs_of(ext.mul(code.q ** s, e)) for e in elems)
+            if derived != code.basis[i * h + s].rows:
+                raise AssertionError(f"code basis word {i * h + s} is not g^{s} b_{i}")
+        lines.append(elems)
     best = None
-    first = True
-    for word in code.codewords():
-        if first:
-            first = False  # zero word
-            continue
-        r = rank(word)
+    for elems in _line_representatives(ext, lines):
+        r = rank(MatrixFq(field, tuple(ext.coeffs_of(e) for e in elems)))
         if best is None or r < best:
             best = r
             if best == 1:
                 break
     return best
+
+
+def _line_representatives(ext: FieldSpec, lines: list[list[int]]) -> Iterator[list[int]]:
+    """Rows of sum_i alpha_i b_i for every alpha whose first nonzero entry is 1."""
+    for lead, first in enumerate(lines):
+        rest = lines[lead + 1:]
+        for alphas in itertools.product(range(ext.order), repeat=len(rest)):
+            elems = first
+            for a, b in zip(alphas, rest):
+                if a:
+                    elems = [ext.add(x, ext.mul(a, y)) for x, y in zip(elems, b)]
+            yield elems
 
 
 def coset_index(code: GabidulinCode, A: MatrixFq) -> int:

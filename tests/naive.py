@@ -113,3 +113,17 @@ def merge_colours(colours, merges, rng):
         a, b = rng.sample(sorted(set(out)), 2)
         out = [b if c == a else c for c in out]
     return out
+
+
+def naive_min_rank(code):
+    """Walk every codeword and take the least naive rank of a nonzero one."""
+    best = None
+    for word in code.codewords():
+        if not any(any(row) for row in word.rows):
+            continue
+        r = naive_rank(code.q, list(word.rows))
+        if best is None or r < best:
+            best = r
+            if best == 1:
+                break
+    return best

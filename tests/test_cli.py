@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 from qchroma.cli import main
@@ -184,3 +186,14 @@ def test_selftest_command(capsys):
     assert main(["selftest", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 20 and "FAIL" not in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "qchroma", "bounds", "--q", "2",
+                           "--n", "4", "--m", "2", "--t", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "J_2(4,2,1): 35 vertices" in done.stdout

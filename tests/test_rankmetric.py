@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from naive import naive_min_rank
+from qchroma import colouring, rankmetric
 from qchroma.ff import field_for_order, field_make
-from qchroma.grassmann import Subspace, enumerate_subspaces, weight_vectors_lex
+from qchroma.grassmann import GrassmannParams, Subspace, enumerate_subspaces, weight_vectors_lex
 from qchroma.matq import (MatrixFq, all_matrices, intersection_dim, is_rref,
                           rank)
-from qchroma.rankmetric import (SyndromeTable, coset_index,
+from qchroma.rankmetric import (GabidulinCode, SyndromeTable, coset_index,
                                 coset_representative, gabidulin_build, lift,
                                 min_rank_distance, unlift)
 
@@ -42,6 +44,75 @@ def test_distance_one_code_is_the_full_matrix_space():
     assert {w.rows for w in code.codewords()} == \
         {M.rows for M in all_matrices(F2, 2, 2)}
     assert min_rank_distance(code) == 1
+
+
+# F_2, F_3, F_4, F_5 and F_9, with k = m - d + 1 >= 2, h > m and d = 1 among them
+@pytest.mark.parametrize("q,m,h,d", [
+    (2, 2, 3, 1), (2, 3, 4, 2), (2, 4, 4, 3), (2, 3, 5, 2),
+    (3, 2, 3, 2), (3, 3, 3, 2), (3, 2, 2, 1),
+    (4, 2, 3, 2), (4, 2, 2, 1),
+    (5, 2, 3, 2), (5, 2, 2, 1),
+    (9, 2, 2, 2), (9, 1, 2, 1), (9, 2, 2, 1),
+])
+def test_min_rank_distance_matches_the_walk_over_every_codeword(q, m, h, d):
+    code = gabidulin_build(q, m, h, d)
+    assert min_rank_distance(code) == naive_min_rank(code) == d
+
+
+@pytest.mark.parametrize("q,m,h,d,ranked", [
+    (2, 4, 7, 3, 129),   # (2^14 - 1) / (2^7 - 1) lines
+    (9, 2, 4, 2, 1),     # k = 1: one line
+])
+def test_min_rank_distance_ranks_one_word_per_line(monkeypatch, q, m, h, d, ranked):
+    code = gabidulin_build(q, m, h, d)
+    calls = []
+    monkeypatch.setattr(rankmetric, "rank", lambda M: calls.append(M) or rank(M))
+    assert min_rank_distance(code) == d
+    assert len(calls) == ranked
+
+
+def _with_basis(code, basis):
+    return GabidulinCode(code.field, code.ext, code.m, code.h, code.d,
+                         code.points, tuple(basis))
+
+
+def _code_on_lines(code, lines):
+    """A code of code's shape whose basis is g^s b_i, b_i given by row elements."""
+    ext = code.ext
+    return _with_basis(code, [
+        MatrixFq(code.field, tuple(ext.coeffs_of(ext.mul(code.q ** s, e)) for e in elems))
+        for elems in lines for s in range(code.h)])
+
+
+def test_scan_refuses_swapped_basis_words():
+    code = gabidulin_build(2, 3, 4, 2)
+    basis = list(code.basis)
+    basis[0], basis[1] = basis[1], basis[0]
+    broken = _with_basis(code, basis)
+    with pytest.raises(AssertionError):
+        min_rank_distance(broken)
+
+
+@pytest.mark.parametrize("index", [1, 4, 7])
+def test_scan_refuses_a_basis_word_from_another_code(index):
+    code = gabidulin_build(2, 3, 4, 2)
+    other = gabidulin_build(2, 3, 4, 1)
+    basis = list(code.basis)
+    basis[index] = other.basis[8]  # g^0 b_2 of the larger code, outside this one
+    broken = _with_basis(code, basis)
+    with pytest.raises(AssertionError):
+        min_rank_distance(broken)
+
+
+def test_scan_sees_a_rank_one_line_and_make_context_refuses(monkeypatch):
+    # F_4-linear code in M_{2x2}(F_2) spanned by the word with both rows 1:
+    # every nonzero word has two equal rows, so rank 1 < design distance 2
+    design = gabidulin_build(2, 2, 2, 2)
+    code = _code_on_lines(design, [[1, 1]])
+    assert min_rank_distance(code) == naive_min_rank(code) == 1
+    monkeypatch.setattr(colouring, "gabidulin_build", lambda *args: code)
+    with pytest.raises(AssertionError, match="design distance"):
+        colouring.make_context(GrassmannParams(2, 4, 2, 1))
 
 
 def test_code_is_linear():
