@@ -9,9 +9,8 @@ number, and cross-checks everything against brute-force ground truth at
 desk scale.
 """
 
-from .ff import (FieldElement, FieldSpec, discrete_log, field_arith,
-                 field_for_order, field_make, primitive_element,
-                 relative_extension)
+from .ff import (FieldSpec, discrete_log, field_for_order, field_make,
+                 primitive_element, relative_extension)
 from .matq import (MatrixFq, gaussian_binomial, intersection_dim, is_rref,
                    orthogonal_complement, rank, rref)
 from .grassmann import (GrassmannParams, Subspace, adjacent, decode_subspace,
@@ -21,7 +20,7 @@ from .rankmetric import (GabidulinCode, coset_index, coset_representative,
                          gabidulin_build, lift, min_rank_distance, unlift)
 from .johnson import (BoseChowlaSet, JohnsonColouring, bose_chowla,
                       greedy_colouring, gs_colouring, johnson_bounds,
-                      smallest_prime_geq)
+                      johnson_colouring, smallest_prime_geq)
 from .colouring import (ColourCertificate, ColourContext, bounds_report,
                         certificate_from_json, certificate_to_json,
                         colour_subspace, full_colouring, load_certificate,

@@ -42,7 +42,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("colour", help="colour every vertex, emit a certificate")
     _add_params(p)
-    p.add_argument("--johnson", choices=("greedy", "gs"), default="greedy",
+    p.add_argument("--johnson", choices=johnson.JOHNSON_METHODS, default="greedy",
                    help="partition method for identifying vectors")
     p.add_argument("--verify", action="store_true",
                    help="force properness verification regardless of size")
@@ -55,7 +55,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("bounds", help="exact lower/upper bound report")
     _add_params(p)
-    p.add_argument("--johnson", choices=("greedy", "gs"), default="greedy")
+    p.add_argument("--johnson", choices=johnson.JOHNSON_METHODS, default="greedy")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = subs.add_parser("oracle", help="exact chromatic number and max clique")
@@ -74,7 +74,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--johnson", choices=("greedy", "gs"), default="greedy",
+    p.add_argument("--johnson", choices=johnson.JOHNSON_METHODS, default="greedy",
                    dest="method")
 
     p = subs.add_parser("selftest", help="run every property suite")
@@ -187,10 +187,7 @@ def _cmd_export_graph(args) -> int:
 
 
 def _cmd_johnson(args) -> int:
-    if args.method == "greedy":
-        jc = johnson.greedy_colouring(args.n, args.m, args.t)
-    else:
-        jc = johnson.gs_colouring(args.n, args.m, args.t)
+    jc = johnson.johnson_colouring(args.method, args.n, args.m, args.t)
     lower, gs_upper = johnson.johnson_bounds(args.n, args.m, args.t)
     proper = johnson.is_proper(jc)
     print(f"J({args.n},{args.m},{args.t}): {len(jc.colours)} vertices")

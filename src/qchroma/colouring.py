@@ -41,15 +41,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .grassmann import (GrassmannParams, Subspace, decode_subspace, dualize,
                         degree_formula, encode_subspace, entry_texts,
                         enumerate_subspaces, enumeration_index, free_cells,
                         key_template, rref_bases, weight_vectors_lex)
 from .ff import FieldSpec
-from .johnson import (JohnsonColouring, colour_clash, greedy_colouring,
-                      gs_colouring)
+from .johnson import JohnsonColouring, colour_clash, johnson_colouring
 from .matq import (MatrixFq, _complement_of_rref, gaussian_binomial,
                    intersection_dim)
 from .rankmetric import (DISTANCE_SCAN_LIMIT, GabidulinCode, SyndromeTable,
@@ -82,34 +81,23 @@ class ColourContext:
     class_of_idvec: dict[tuple[int, ...], int] | None
     coset_block: int
     distance_verified: bool
-    inner: "ColourContext | None" = None
-
-    @property
-    def effective(self) -> "ColourContext":
-        """The direct-regime context that actually assigns colours."""
-        return self.inner if self.regime == DUAL else self
 
 
 def make_context(params: GrassmannParams, johnson_method: str = "greedy") -> ColourContext:
-    """Build the Johnson partition and MRD code for the active regime."""
+    """Build the Johnson partition and MRD code for the active regime.
+
+    A dual-regime context holds the Johnson partition and code of
+    `params.dual()`, which colour the orthogonal complements; both graphs
+    have the same n.
+    """
     regime = regime_of(params)
     if regime == COMPLETE:
         return ColourContext(params, regime, None, None, None, 1, True)
     if regime == DUAL:
-        dual_params = GrassmannParams(params.q, params.n,
-                                      params.n - params.m,
-                                      params.n - 2 * params.m + params.t)
-        inner = make_context(dual_params, johnson_method)
-        return ColourContext(params, regime, inner.johnson, inner.code,
-                             inner.class_of_idvec, inner.coset_block,
-                             inner.distance_verified, inner)
+        return replace(make_context(params.dual(), johnson_method),
+                       params=params, regime=DUAL)
     q, n, m, t = params.q, params.n, params.m, params.t
-    if johnson_method == "greedy":
-        jc = greedy_colouring(n, m, t)
-    elif johnson_method == "gs":
-        jc = gs_colouring(n, m, t)
-    else:
-        raise ValueError(f"unknown johnson method {johnson_method!r}")
+    jc = johnson_colouring(johnson_method, n, m, t)
     # dense class ids, in ascending order of the raw colour values
     raw = sorted(set(jc.colours.values()))
     dense = {c: i for i, c in enumerate(raw)}
@@ -139,7 +127,7 @@ def colour_subspace(ctx: ColourContext, S: Subspace) -> int:
     if ctx.regime == COMPLETE:
         return enumeration_index(S)
     if ctx.regime == DUAL:
-        return colour_subspace(ctx.inner, dualize(S))
+        S = dualize(S)
     return _direct_colour(ctx, S)[0]
 
 
@@ -208,19 +196,12 @@ def bounds_report(params: GrassmannParams, johnson_method: str = "greedy",
                 "johnson_palette": None}
     lower = max(gaussian_binomial(n - t, m - t, q),
                 gaussian_binomial(2 * m - t, m - t, q))
-    if regime == DIRECT:
-        jn, jm, jt = n, m, t
-        exponent = (n - m) * (m - t)
-    else:
-        jn, jm, jt = n, n - m, n - 2 * m + t
-        exponent = m * (m - t)
+    coloured = params if regime == DIRECT else params.dual()
+    jn, jm, jt = coloured.n, coloured.m, coloured.t
     if johnson_palette is None:
-        if johnson_method == "greedy":
-            johnson_palette = greedy_colouring(jn, jm, jt).palette
-        else:
-            johnson_palette = gs_colouring(jn, jm, jt).palette
+        johnson_palette = johnson_colouring(johnson_method, jn, jm, jt).palette
     return {"regime": regime, "vertices": vertices, "lower": lower,
-            "theorem_upper": johnson_palette * q ** exponent,
+            "theorem_upper": johnson_palette * q ** ((jn - jm) * (jm - jt)),
             "trivial_upper": trivial_upper, "johnson_palette": johnson_palette}
 
 
@@ -296,7 +277,7 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
 
     field = params.field
     texts = entry_texts(field)
-    colourer = None if ctx.regime == COMPLETE else _CosetColourer(ctx.effective)
+    colourer = None if ctx.regime == COMPLETE else _CosetColourer(ctx)
     entries: list[tuple[str, int]] = []
     colours: list[int] = []
     bases: list[tuple[tuple[int, ...], ...]] = []  # kept only to verify

@@ -3,9 +3,12 @@
 A field is presented as K[x]/(f) for a coefficient field K and a monic
 irreducible modulus f; prime fields use K = integers mod p and f = x.
 Elements are coefficient vectors over K with respect to the power basis
-(1, g, ..., g^(k-1)), g the class of x.  Throughout the package an element
-is addressed by its integer *index* sum(c_i * |K|^i), so index 0 is zero
-and index 1 is one; matrices store indices, not element objects.
+(1, g, ..., g^(k-1)), g the class of x.  The API works on integer element
+*indices* only: an element is the index sum(c_i * |K|^i) of its coefficient
+vector (`index_of`, `coeffs_of`), so index 0 is zero, index 1 is one and,
+for k > 1, index |K| is g.  `FieldSpec.add/sub/neg/mul/inv/power` take and
+return indices, as do `primitive_element` and `discrete_log`; matrices
+store indices too.
 
 `field_make(p, k)` builds F_{p^k} over the prime field, choosing the
 lexicographically smallest monic irreducible modulus (coefficients compared
@@ -16,15 +19,14 @@ rank-metric code expansion needs exactly that view.
 
 Extension fields with at most 2**16 elements get exp/log tables on first
 multiplicative use; larger fields fall back to polynomial arithmetic per
-call.  Everything here is deterministic and immutable after construction,
-so field objects and elements can be shared freely across workers.
+call.  Everything here is deterministic: a field's arithmetic does not
+change after construction.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 DESK_ORDER_LIMIT = 2 ** 20
 _TABLE_LIMIT = 2 ** 16
@@ -304,94 +306,6 @@ class FieldSpec:
                 return cand
         raise AssertionError("no primitive element found; field is corrupt")
 
-    def primitive_index(self) -> int:
-        """Index of the canonically smallest generator of the unit group."""
-        return self._find_primitive()
-
-    # -- element objects ------------------------------------------------------
-
-    def element(self, coeffs: Sequence[int]) -> "FieldElement":
-        """Element with the given coefficients; entries reduced mod |base|."""
-        if len(coeffs) != self.k:
-            raise ValueError(f"expected {self.k} coefficients, got {len(coeffs)}")
-        s = self._subord
-        return FieldElement(self, tuple(c % s for c in coeffs))
-
-    def from_index(self, a: int) -> "FieldElement":
-        if not 0 <= a < self.order:
-            raise ValueError(f"element index {a} out of range [0, {self.order})")
-        return FieldElement(self, self.coeffs_of(a))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.k)
-
-    @property
-    def one(self) -> "FieldElement":
-        return self.from_index(1)
-
-    @property
-    def gen(self) -> "FieldElement":
-        """Class of x: the power-basis generator (equals 0 in a prime field)."""
-        if self.k == 1:
-            return self.zero if self.base is None else self.from_index(0)
-        return self.from_index(self._subord)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for a in range(self.order):
-            yield self.from_index(a)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Immutable field element: owning field plus coefficient vector."""
-
-    field: FieldSpec
-    coeffs: tuple[int, ...]
-
-    @property
-    def index(self) -> int:
-        return self.field.index_of(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def _peer(self, other) -> int:
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise ValueError("mixed-field operands")
-        return other.index
-
-    def __add__(self, other):
-        f = self.field
-        return f.from_index(f.add(self.index, self._peer(other)))
-
-    def __sub__(self, other):
-        f = self.field
-        return f.from_index(f.sub(self.index, self._peer(other)))
-
-    def __neg__(self):
-        f = self.field
-        return f.from_index(f.neg(self.index))
-
-    def __mul__(self, other):
-        f = self.field
-        return f.from_index(f.mul(self.index, self._peer(other)))
-
-    def __truediv__(self, other):
-        f = self.field
-        return f.from_index(f.mul(self.index, f.inv(self._peer(other))))
-
-    def __pow__(self, e: int):
-        f = self.field
-        return f.from_index(f.power(self.index, e))
-
-    def inverse(self) -> "FieldElement":
-        f = self.field
-        return f.from_index(f.inv(self.index))
-
-    def __repr__(self) -> str:
-        return f"ffe({self.field!r}, {list(self.coeffs)})"
-
 
 # -- polynomial helpers over an arbitrary FieldSpec (used for moduli) --------
 
@@ -482,11 +396,12 @@ def _smallest_irreducible(K: FieldSpec, d: int) -> tuple[int, ...]:
     """Lexicographically first monic irreducible of degree d over K.
 
     Coefficient tuples (c_0, ..., c_{d-1}) are compared constant term
-    first; the top coefficient is fixed to 1.
+    first; the top coefficient is fixed to 1.  For d > 1 every candidate
+    with c_0 = 0 is divisible by x, so the walk starts at c_0 = 1.
     """
     if d == 1:
         return (0, 1)
-    count = [0] * d
+    count = [1] + [0] * (d - 1)
 
     def bump() -> bool:
         for i in range(d - 1, -1, -1):
@@ -543,65 +458,31 @@ def relative_extension(base: FieldSpec, h: int) -> FieldSpec:
 
 # -- top-level operations -----------------------------------------------------
 
-def field_arith(spec: FieldSpec, op: str, a: FieldElement,
-                b: "FieldElement | int | None" = None) -> FieldElement:
-    """Dispatch one arithmetic operation: add, sub, mul, inv or pow."""
-    if a.field != spec:
-        raise ValueError("mixed-field operands")
-    if op == "inv":
-        return spec.from_index(spec.inv(a.index))
-    if op == "pow":
-        if not isinstance(b, int):
-            raise ValueError("pow takes an integer exponent")
-        return spec.from_index(spec.power(a.index, b))
-    if not isinstance(b, FieldElement) or b.field != spec:
-        raise ValueError("mixed-field operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
+def primitive_element(spec: FieldSpec) -> int:
+    """Index of the smallest-index element generating the whole unit group."""
+    return spec._find_primitive()
 
 
-def multiplicative_order(spec: FieldSpec, a: FieldElement) -> int:
-    idx = a.index
-    if idx == 0:
-        raise ValueError("zero has no multiplicative order")
-    n = spec.order - 1
-    if n == 0:
-        return 1
-    order = n
-    for f in prime_factors(n):
-        while order % f == 0 and spec.power(idx, order // f) == 1:
-            order //= f
-    return order
+def discrete_log(spec: FieldSpec, base: int, x: int) -> int:
+    """The unique e in [0, order-1) with base**e = x, for a primitive base.
 
-
-def primitive_element(spec: FieldSpec) -> FieldElement:
-    """Smallest-index element generating the whole unit group."""
-    return spec.from_index(spec.primitive_index())
-
-
-def discrete_log(spec: FieldSpec, base: FieldElement, x: FieldElement) -> int:
-    """The unique e in [0, order-1) with base**e = x, for primitive base."""
-    if base.field != spec or x.field != spec:
-        raise ValueError("mixed-field operands")
-    xi = x.index
-    if xi == 0:
+    Both arguments are element indices.  Raises ValueError for x = 0, for
+    an index outside the field and for a base that is zero or not primitive.
+    """
+    if not (0 <= base < spec.order and 0 <= x < spec.order):
+        raise ValueError(f"element index out of range [0, {spec.order})")
+    if x == 0:
         raise ValueError("discrete log of zero")
     n = spec.order - 1
-    if multiplicative_order(spec, base) != n:
+    if base == 0 or any(spec.power(base, n // f) == 1 for f in prime_factors(n)):
         raise ValueError("base is not primitive")
-    bi = base.index
     if spec.base is not None and spec._ensure_tables():
-        lb = spec._log[bi]
-        lx = spec._log[xi]
+        lb = spec._log[base]
+        lx = spec._log[x]
         return (lx * pow(lb, -1, n)) % n if n > 1 else 0
     acc = 1
     for e in range(max(n, 1)):
-        if acc == xi:
+        if acc == x:
             return e
-        acc = spec.mul(acc, bi)
+        acc = spec.mul(acc, base)
     raise AssertionError("exhausted group without finding x")

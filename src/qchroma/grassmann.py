@@ -48,6 +48,14 @@ class GrassmannParams:
     def vertex_count(self) -> int:
         return gaussian_binomial(self.n, self.m, self.q)
 
+    def dual(self) -> "GrassmannParams":
+        """(q, n, n-m, n-2m+t): orthogonal complements map J_q(n, m, t) onto it.
+
+        Valid (else ValueError) exactly when m < n < 2m and n - 2m + t >= 1.
+        """
+        return GrassmannParams(self.q, self.n, self.n - self.m,
+                               self.n - 2 * self.m + self.t)
+
 
 class Subspace:
     """An m-dimensional subspace of F_q^n in canonical RREF form."""

@@ -10,6 +10,9 @@ when they share at least t elements.  Two proper colourings are provided:
 * `greedy_colouring` runs saturation-guided greedy colouring over the
   subsets in lexicographic order; at desk scale it usually beats r.
 
+`johnson_colouring` selects one of them by its method name ("greedy" or
+"gs") and refuses any other name.
+
 The Bose-Chowla set itself is built from discrete logarithms of the
 projective line spanned by {1, g} in F_{p^{m-t+1}} and then *verified
 exhaustively*; if verification ever failed, a greedy search over Z_r would
@@ -101,7 +104,7 @@ def bose_chowla(p: int, h: int) -> BoseChowlaSet:
     r = (p ** (h + 1) - 1) // (p - 1)
     g = primitive_element(F)
     # transversal of the p+1 projective points of span{1, g}: 1 and a + g
-    reps = [F.one] + [F.from_index(a) + g for a in range(p)]
+    reps = [1] + [F.add(a, g) for a in range(p)]
     elements = tuple(sorted(discrete_log(F, g, v) % r for v in reps))
     construction = "projective-span"
     if len(set(elements)) != p + 1 or not _sumset_is_distinct(elements, h, r):
@@ -144,6 +147,18 @@ def greedy_colouring(n: int, m: int, t: int) -> JohnsonColouring:
     assignment = dsatur(adj)
     colours = {S: c for S, c in zip(verts, assignment)}
     return JohnsonColouring(n, m, t, "greedy", colours, len(set(assignment)))
+
+
+JOHNSON_METHODS = ("greedy", "gs")
+
+
+def johnson_colouring(method: str, n: int, m: int, t: int) -> JohnsonColouring:
+    """The colouring of J(n, m, t) named by `method`, one of JOHNSON_METHODS."""
+    if method == "greedy":
+        return greedy_colouring(n, m, t)
+    if method == "gs":
+        return gs_colouring(n, m, t)
+    raise ValueError(f"unknown johnson method {method!r}")
 
 
 def _adjacency_masks(verts: list[tuple[int, ...]], t: int) -> list[int]:

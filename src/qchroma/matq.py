@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .ff import FieldElement, FieldSpec
+from .ff import FieldSpec
 
 
 class MatrixFq:
@@ -36,18 +36,6 @@ class MatrixFq:
         return cls(field, grid)
 
     @classmethod
-    def from_elements(cls, field: FieldSpec, rows: Sequence[Sequence[FieldElement]]) -> "MatrixFq":
-        grid = []
-        for r in rows:
-            row = []
-            for e in r:
-                if e.field != field:
-                    raise ValueError("mixed-field entries")
-                row.append(e.index)
-            grid.append(tuple(row))
-        return cls(field, tuple(grid))
-
-    @classmethod
     def zeros(cls, field: FieldSpec, r: int, c: int) -> "MatrixFq":
         return cls(field, tuple((0,) * c for _ in range(r)))
 
@@ -63,12 +51,6 @@ class MatrixFq:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def index_at(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.field.from_index(self.rows[i][j])
 
     def stack(self, other: "MatrixFq") -> "MatrixFq":
         if other.field != self.field or (self.rows and other.rows

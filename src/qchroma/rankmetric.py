@@ -32,7 +32,7 @@ import itertools
 from typing import Iterator, Sequence
 
 from .ff import FieldSpec, field_for_order, relative_extension
-from .matq import MatrixFq, rank
+from .matq import MatrixFq, _eliminate, rank
 from .grassmann import Subspace
 
 DISTANCE_SCAN_LIMIT = 2 ** 20  # codes larger than this are not scanned
@@ -56,25 +56,8 @@ class GabidulinCode:
         self.points = points
         self.basis = basis
         rows = [list(_flatten(B)) for B in basis]
-        pivots = []
-        r = 0
-        for c in range(m * h):
-            pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            lead = rows[r][c]
-            if lead != 1:
-                inv = field.inv(lead)
-                rows[r] = [field.mul(inv, v) for v in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [field.sub(v, field.mul(f, w))
-                               for v, w in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        if r != len(rows):
+        pivots = _eliminate(field, rows, reduced=True)
+        if len(pivots) != len(rows):
             raise AssertionError("code basis is linearly dependent")
         self._rrows = tuple(tuple(row) for row in rows)
         self._pivots = tuple(pivots)

@@ -127,3 +127,28 @@ def naive_min_rank(code):
             if best == 1:
                 break
     return best
+
+
+def _poly_rem(f, g, F):
+    """Remainder of f by the monic g over the field F (lists, constant first)."""
+    f = list(f)
+    while len(f) >= len(g):
+        c = f.pop()
+        shift = len(f) - (len(g) - 1)
+        for i, gc in enumerate(g[:-1]):
+            f[shift + i] = F.sub(f[shift + i], F.mul(c, gc))
+    return f
+
+
+def naive_smallest_irreducible(q, d):
+    """First monic degree-d polynomial over F_q with no monic factor of
+    degree 1..d//2, walking every (c_0, ..., c_{d-1}) in lexicographic
+    order (constant term first, c_0 = 0 included)."""
+    F = field_for_order(q)
+    divisors = [list(low) + [1] for k in range(1, d // 2 + 1)
+                for low in itertools.product(range(q), repeat=k)]
+    for low in itertools.product(range(q), repeat=d):
+        f = low + (1,)
+        if all(any(_poly_rem(f, g, F)) for g in divisors):
+            return f
+    return None

@@ -1,0 +1,44 @@
+"""The benchmark's tracer still finds every public name it wraps.
+
+perfbench/spans.py patches qchroma's public functions by name, from
+outside the package.  Deleting or renaming one of them would otherwise
+show only in the minute-long perfbench self-tests; here it fails in
+about 0.1 s.
+"""
+
+import sys
+from pathlib import Path
+
+import qchroma
+from qchroma import colouring, grassmann, johnson
+from qchroma.grassmann import GrassmannParams
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+
+
+def _tracer():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import spans
+    finally:
+        sys.path.remove(PERFBENCH)
+    return spans.Tracer(qchroma.__name__)
+
+
+def test_tracer_installs_counts_and_uninstalls():
+    make_context, greedy = colouring.make_context, johnson.greedy_colouring
+    subspace_init = grassmann.Subspace.__init__
+    tracer = _tracer()
+    tracer.install()
+    try:
+        assert colouring.make_context is not make_context
+        colouring.make_context(GrassmannParams(2, 4, 2, 1))
+        calls = {name: s["calls"] for name, s in tracer.snapshot().items()}
+    finally:
+        tracer.uninstall()
+    # the Johnson-method dispatch reaches the traced greedy colouring
+    assert calls["colouring.make_context"] == 1
+    assert calls["johnson.greedy_colouring"] == 1
+    assert colouring.make_context is make_context
+    assert johnson.greedy_colouring is greedy
+    assert grassmann.Subspace.__init__ is subspace_init

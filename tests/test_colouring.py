@@ -41,9 +41,14 @@ def test_make_context_direct():
 
 def test_make_context_dual_and_complete():
     ctx = col.make_context(GrassmannParams(2, 5, 3, 2))
-    assert ctx.regime == "dual"
-    assert ctx.inner.params == GrassmannParams(2, 5, 2, 1)
+    assert ctx.regime == "dual" and ctx.params == GrassmannParams(2, 5, 3, 2)
     assert (ctx.code.m, ctx.code.h, ctx.code.d) == (2, 3, 2)
+    # the dual-regime context holds the J_2(5,2,1) partition and code
+    dual = col.make_context(GrassmannParams(2, 5, 2, 1))
+    assert ctx.johnson == dual.johnson and ctx.class_of_idvec == dual.class_of_idvec
+    assert (ctx.coset_block, ctx.distance_verified) == (dual.coset_block,
+                                                       dual.distance_verified)
+    assert ctx.code.basis == dual.code.basis
     ctx = col.make_context(GrassmannParams(2, 5, 3, 1))
     assert ctx.regime == "complete" and ctx.code is None
 
@@ -115,9 +120,10 @@ def test_full_colouring_complete_regime():
 def test_dual_colouring_consistent_with_pullback():
     params = GrassmannParams(2, 5, 3, 2)
     ctx = col.make_context(params)
+    dual = col.make_context(GrassmannParams(2, 5, 2, 1))
     for S in enumerate_subspaces(2, 5, 3):
         assert col.colour_subspace(ctx, S) == \
-            col.colour_subspace(ctx.inner, dualize(S))
+            col.colour_subspace(dual, dualize(S))
 
 
 def test_vertex_cap():
@@ -141,6 +147,23 @@ def test_bounds_report_gs_method():
     rep = col.bounds_report(GrassmannParams(2, 4, 2, 1), "gs")
     assert rep["theorem_upper"] == rep["johnson_palette"] * 4
     assert rep["johnson_palette"] <= 6
+
+
+def test_unknown_johnson_method_is_refused():
+    params = GrassmannParams(2, 6, 3, 1)
+    with pytest.raises(ValueError, match="unknown johnson method"):
+        col.bounds_report(params, "bogus")
+    with pytest.raises(ValueError, match="unknown johnson method"):
+        col.make_context(params, "bogus")
+
+
+def test_context_over_f4_with_a_degree_10_extension_is_quick():
+    # the code of J_4(12,2,1) lives in F_{4^10}; finding its modulus must not
+    # walk the 4^9 candidates divisible by x
+    start = time.perf_counter()
+    ctx = col.make_context(GrassmannParams(4, 12, 2, 1))
+    assert time.perf_counter() - start < 1.0
+    assert ctx.distance_verified and ctx.code.size == 2 ** 20
 
 
 def test_certificate_json_roundtrip_and_determinism():

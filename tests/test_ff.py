@@ -1,10 +1,12 @@
 import itertools
+import time
 
 import pytest
 
+import naive
+
 from qchroma import ff
-from qchroma.ff import (discrete_log, field_arith, field_make,
-                        multiplicative_order, primitive_element,
+from qchroma.ff import (discrete_log, field_make, primitive_element,
                         relative_extension)
 
 
@@ -69,27 +71,22 @@ def _poly_divides(g, f, p):
 
 def test_f4_arithmetic():
     F4 = field_make(2, 2)
-    theta = F4.gen
-    assert (theta * theta).coeffs == (1, 1)  # polynomial product then reduce
-    one = F4.one
-    for a in list(F4.elements())[1:]:
-        assert (a * a.inverse()) == one
-        assert (a + a).is_zero()  # characteristic 2
+    theta = F4.index_of((0, 1))
+    assert F4.coeffs_of(F4.mul(theta, theta)) == (1, 1)  # theta^2 = theta + 1
+    for a in range(1, 4):
+        assert F4.mul(a, F4.inv(a)) == 1
+        assert F4.add(a, a) == 0  # characteristic 2
 
 
-def test_field_arith_dispatch_and_errors():
+def test_power_and_inverse_errors():
     F4 = field_make(2, 2)
-    F9 = field_make(3, 2)
-    a = F4.gen
-    assert field_arith(F4, "add", a, a).is_zero()
-    assert field_arith(F4, "pow", a, 3) == F4.one
-    assert field_arith(F4, "pow", a, -1) == a.inverse()
+    a = F4.index_of((0, 1))
+    assert F4.power(a, 3) == 1
+    assert F4.power(a, -1) == F4.inv(a)
     with pytest.raises(ValueError):
-        field_arith(F4, "inv", F4.zero)
+        F4.inv(0)
     with pytest.raises(ValueError):
-        field_arith(F4, "add", a, F9.gen)
-    with pytest.raises(ValueError):
-        field_arith(F9, "mul", a, a)
+        F4.power(0, -1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
@@ -105,27 +102,30 @@ def test_axioms_exhaustively(q):
 
 
 def test_primitive_elements():
-    assert primitive_element(field_make(2, 1)).coeffs == (1,)
+    assert primitive_element(field_make(2, 1)) == 1
     F4 = field_make(2, 2)
     g = primitive_element(F4)
-    assert g == F4.gen  # order 3, and theta precedes theta+1
-    assert multiplicative_order(F4, g) == 3
+    assert g == 2 == F4.index_of((0, 1))  # theta has order 3 and precedes theta+1
+    assert [F4.power(g, e) for e in range(1, 4)].index(1) == 2
     F5 = field_make(5, 1)
-    assert primitive_element(F5).coeffs == (2,)
+    assert primitive_element(F5) == 2
     # oracle: 2 has order 4 mod 5 while 1 does not generate
     assert sorted(pow(2, e, 5) for e in range(4)) == [1, 2, 3, 4]
 
 
 def test_discrete_log_small_cases():
     F5 = field_make(5, 1)
-    two = F5.from_index(2)
-    assert discrete_log(F5, two, F5.one) == 0
-    assert discrete_log(F5, two, two) == 1
-    assert discrete_log(F5, two, F5.from_index(4)) == 2
+    assert discrete_log(F5, 2, 1) == 0
+    assert discrete_log(F5, 2, 2) == 1
+    assert discrete_log(F5, 2, 4) == 2
     with pytest.raises(ValueError):
-        discrete_log(F5, two, F5.zero)
+        discrete_log(F5, 2, 0)
     with pytest.raises(ValueError):
-        discrete_log(F5, F5.from_index(4), two)  # 4 has order 2, not primitive
+        discrete_log(F5, 0, 2)
+    with pytest.raises(ValueError):
+        discrete_log(F5, 4, 2)  # 4 has order 2, not primitive
+    with pytest.raises(ValueError):
+        discrete_log(F5, 2, 5)  # not an index of F_5
 
 
 @pytest.mark.parametrize("q", [7, 16, 81, 125, 512])
@@ -133,8 +133,7 @@ def test_discrete_log_pow_roundtrip(q):
     F = ff.field_for_order(q)
     g = primitive_element(F)
     for e in range(q - 1):
-        x = field_arith(F, "pow", g, e)
-        assert discrete_log(F, g, x) == e
+        assert discrete_log(F, g, F.power(g, e)) == e
 
 
 def test_relative_extension_matches_absolute_for_prime_base():
@@ -162,8 +161,23 @@ def test_relative_extension_over_f4():
 def test_element_index_convention():
     F9 = field_make(3, 2)
     for a in range(9):
-        e = F9.from_index(a)
-        assert sum(c * 3 ** i for i, c in enumerate(e.coeffs)) == a
-        assert F9.index_of(e.coeffs) == a
-    assert F9.zero.coeffs == (0, 0)
-    assert F9.one.coeffs == (1, 0)
+        coeffs = F9.coeffs_of(a)
+        assert sum(c * 3 ** i for i, c in enumerate(coeffs)) == a
+        assert F9.index_of(coeffs) == a
+    assert F9.coeffs_of(0) == (0, 0)
+    assert F9.coeffs_of(1) == (1, 0)
+
+
+@pytest.mark.parametrize("q, d", [(2, d) for d in range(2, 7)]
+                         + [(3, d) for d in range(2, 5)]
+                         + [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3)])
+def test_modulus_is_the_first_irreducible_of_a_full_walk(q, d):
+    assert relative_extension(ff.field_for_order(q), d).modulus == \
+        naive.naive_smallest_irreducible(q, d)
+
+
+def test_f4_degree_8_modulus_is_found_quickly():
+    start = time.perf_counter()
+    E = relative_extension(ff.field_for_order(4), 8)
+    assert time.perf_counter() - start < 1.0
+    assert E.modulus == (1, 0, 0, 0, 0, 2, 0, 3, 1)

@@ -23,6 +23,9 @@ def test_params_validation():
         GrassmannParams(2, 4, 2, 2)   # t = m
     with pytest.raises(ValueError):
         GrassmannParams(2, 4, 2, 0)   # t < 1
+    assert GrassmannParams(3, 7, 4, 3).dual() == GrassmannParams(3, 7, 3, 2)
+    with pytest.raises(ValueError):
+        GrassmannParams(2, 5, 3, 1).dual()   # complete regime: n - 2m + t = 0
 
 
 def test_enumerate_tiny_cases():
