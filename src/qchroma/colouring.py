@@ -35,6 +35,16 @@ sealing the certificate: two vertices are adjacent exactly when they share
 a t-subspace, so no colour class may repeat a t-subspace fingerprint.
 Certificates serialize to a single JSON document with all integers as
 decimal strings; byte-identical across runs for equal inputs.
+
+`verify_properness` re-checks a certificate without building a `Subspace`
+per vertex.  Keys are parsed by template (`_KeyParser`): the header is
+matched, the pivots are read from the rows and the identifying vector's
+`key_template`, filled with the key's free-cell texts, must re-render the
+key exactly.  Fingerprints are packed (`_Fingerprints`): each F_p
+coordinate of each entry has its own bit slot, scaled basis rows come from
+per-field tables of c·v, and a row sum is folded mod p by table.  The
+verifier shares this field arithmetic (`matq.PackedFp`) with the
+construction's syndrome table, but no lifting and no cosets.
 """
 
 from __future__ import annotations
@@ -42,14 +52,16 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
+from operator import getitem
+from typing import Iterable
 
 from .grassmann import (GrassmannParams, Subspace, decode_subspace, dualize,
                         degree_formula, encode_subspace, entry_texts,
                         enumerate_subspaces, enumeration_index, free_cells,
                         key_template, rref_bases, weight_vectors_lex)
-from .ff import FieldSpec
-from .johnson import JohnsonColouring, colour_clash, johnson_colouring
-from .matq import (MatrixFq, _complement_of_rref, gaussian_binomial,
+from .johnson import (JohnsonColouring, check_method, colour_clash,
+                      johnson_colouring)
+from .matq import (MatrixFq, PackedFp, _complement_of_rref, gaussian_binomial,
                    intersection_dim)
 from .rankmetric import (DISTANCE_SCAN_LIMIT, GabidulinCode, SyndromeTable,
                          coset_index, gabidulin_build, min_rank_distance,
@@ -90,6 +102,7 @@ def make_context(params: GrassmannParams, johnson_method: str = "greedy") -> Col
     `params.dual()`, which colour the orthogonal complements; both graphs
     have the same n.
     """
+    check_method(johnson_method)
     regime = regime_of(params)
     if regime == COMPLETE:
         return ColourContext(params, regime, None, None, None, 1, True)
@@ -186,6 +199,7 @@ def bounds_report(params: GrassmannParams, johnson_method: str = "greedy",
     theorem_upper: Johnson palette times the coset count of the regime's
     code.  trivial_upper: vertex degree plus one.
     """
+    check_method(johnson_method)
     q, n, m, t = params.q, params.n, params.m, params.t
     regime = regime_of(params)
     vertices = params.vertex_count()
@@ -331,17 +345,115 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
         family_sizes=colourer.families if colourer else {})
 
 
-def _span_combination(field: FieldSpec, coeffs: tuple[int, ...],
-                      rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """The vector sum_i coeffs[i] * rows[i]; coeffs is never all zero."""
-    acc = None
-    for c, row in zip(coeffs, rows):
-        if c == 0:
-            continue
-        if c != 1:
-            row = [field.mul(c, x) for x in row]
-        acc = row if acc is None else [field.add(x, y) for x, y in zip(acc, row)]
-    return tuple(acc)
+class _Fingerprints:
+    """The t-subspaces of m-subspaces of F_q^n, as tuples of packed integers.
+
+    A vertex is read as the pivot columns of its RREF basis B and the
+    values of its free cells, in `free_cells` order.  Its t-subspaces are
+    the row spaces of C·B, C the RREF bases of the t-subspaces of F_q^m.
+    With both C and B in RREF, C·B is itself in RREF (its pivot columns are
+    B's pivot columns picked by C's pivots, where C·B repeats the columns
+    of C), so C·B is the canonical fingerprint as computed.
+
+    A row of C·B is a sum of at most m scaled rows c·B_i.  Each is built
+    once per vertex from per-entry tables of c·v, with F_p coordinate l of
+    entry j in slot j·k + l of a `matq.PackedFp` wide enough for m terms;
+    one fold of the sum gives the base-q integer whose digit j is entry j.
+    A fingerprint is the tuple of those integers for the rows of one C,
+    the C taken in `rref_bases` order over `weight_vectors_lex(m, t)`.
+    This is field arithmetic only: no lifting and no cosets.
+    """
+
+    def __init__(self, params: GrassmannParams):
+        field = params.field
+        q, n, m = params.q, params.n, params.m
+        self.field, self.n = field, n
+        combos = [C for u in weight_vectors_lex(m, params.t)
+                  for C in rref_bases(q, u)]
+        # rows of the C, by weight: zeroing a free entry of a row gives a row
+        # of another C with the same pivots, so the sum for a row is the sum
+        # for the row without its last nonzero entry plus one scaled row
+        coeff_rows = sorted({r for C in combos for r in C},
+                            key=lambda r: (m - r.count(0), r))
+        row_at = {r: x for x, r in enumerate(coeff_rows)}
+        self.columns = [[row_at[C[k]] for C in combos] for k in range(params.t)]
+        # the scaled rows (i, c) = c·B_i that the sums use
+        self.scaled = sorted({(i, c) for r in coeff_rows for i, c in enumerate(r) if c})
+        at = {ic: x for x, ic in enumerate(self.scaled)}
+        self.units: list[int] = []
+        self.layers: list[list[tuple[int, int]]] = [[] for _ in range(m - 1)]
+        for r in coeff_rows:
+            last = max(i for i, c in enumerate(r) if c)
+            prefix = r[:last] + (0,) + r[last + 1:]
+            if any(prefix):
+                self.layers[m - 1 - prefix.count(0)].append(
+                    (row_at[prefix], at[last, r[last]]))
+            else:
+                self.units.append(at[last, r[last]])
+        self.packed = packed = PackedFp(field.p, m, n * field.k)
+        stride = field.k * packed.width
+        cv = [[packed.pack(field.coeffs_of(field.mul(c, v))) for v in range(q)]
+              for c in range(q)]
+        self.term = [[[x << (j * stride) for x in cv[c]] for c in range(q)]
+                     for j in range(n)]  # term[j][c][v]: c·v as entry j
+        self._specs: dict[tuple[int, ...], tuple] = {}
+
+    def _spec(self, pivots: tuple[int, ...]):
+        """The free cells, and per scaled row c·B_i: the term of its pivot,
+        the slice of the values that row i's free cells take, and their
+        term tables for c."""
+        spec = self._specs.get(pivots)
+        if spec is None:
+            cells = free_cells([1 if j in pivots else 0 for j in range(self.n)])
+            term = self.term
+            spec = self._specs[pivots] = (cells, [])
+            for i, c in self.scaled:
+                lo = sum(r < i for r, _ in cells)  # cells are row-major
+                tabs = [term[j][c] for r, j in cells if r == i]
+                spec[1].append((term[pivots[i]][c][1], lo, lo + len(tabs), tabs))
+        return spec
+
+    def of(self, pivots: tuple[int, ...], values: list[int]) -> Iterable[tuple[int, ...]]:
+        """The fingerprints of the vertex with these pivots and free-cell values."""
+        scaled = [base + sum(map(getitem, tabs, values[lo:hi]))
+                  for base, lo, hi, tabs in self._spec(pivots)[1]]
+        totals = [scaled[b] for b in self.units]
+        for layer in self.layers:
+            totals += [totals[a] + scaled[b] for a, b in layer]
+        vecs = self.packed.fold_all(totals)
+        return zip(*[map(vecs.__getitem__, column) for column in self.columns])
+
+    def of_rows(self, rows: tuple[tuple[int, ...], ...]) -> Iterable[tuple[int, ...]]:
+        """The fingerprints of the vertex with these RREF rows."""
+        pivots = tuple(row.index(1) for row in rows)
+        return self.of(pivots, [rows[i][j] for i, j in self._spec(pivots)[0]])
+
+    def subspace(self, fingerprint: tuple[int, ...]) -> Subspace:
+        """The t-subspace a fingerprint stands for."""
+        q = self.field.order
+        rows = []
+        for value in fingerprint:
+            row = []
+            for _ in range(self.n):
+                value, v = divmod(value, q)
+                row.append(v)
+            rows.append(tuple(row))
+        return Subspace(MatrixFq(self.field, tuple(rows)))
+
+
+def _named_clash(fp: _Fingerprints, clash, subspace_of
+                 ) -> tuple[tuple[str, str, int], str] | None:
+    """((key S, key T, dim), witness key) of a `colour_clash` result, or None.
+
+    Only the reported pair's intersection is computed, and only it and the
+    shared t-subspace are built as `Subspace`s.
+    """
+    if clash is None:
+        return None
+    i, j, shared = clash
+    S, T = subspace_of(i), subspace_of(j)
+    dim = intersection_dim(S.basis, T.basis)
+    return (encode_subspace(S), encode_subspace(T), dim), encode_subspace(fp.subspace(shared))
 
 
 def _find_clash(bases: list[tuple[tuple[int, ...], ...]], colours: list[int],
@@ -350,69 +462,93 @@ def _find_clash(bases: list[tuple[tuple[int, ...], ...]], colours: list[int],
     """A same-colour pair of intersection dim >= t and a shared t-subspace.
 
     dim(S ∩ T) >= t holds exactly when S and T share a t-subspace, so each
-    vertex is fingerprinted by its t-subspaces and `colour_clash` hashes
-    them per colour class.  The t-subspaces of S are the row spaces of
-    C·B, B the RREF basis of S and C the RREF bases of the t-subspaces of
-    F_q^m.  With both C and B in RREF, C·B is itself in RREF (its pivot
-    columns are B's pivot columns picked by C's pivots, where C·B repeats
-    the columns of C), so C·B is the canonical fingerprint as computed.
-    `bases` holds each vertex's RREF rows; only the reported pair's
-    intersection is computed and only it is built as a `Subspace`.  Returns
-    ((key S, key T, dim), witness key) or None when the colouring is proper.
+    vertex is fingerprinted by its t-subspaces (`_Fingerprints`) and
+    `colour_clash` hashes them per colour class.  `bases` holds each
+    vertex's RREF rows.  Returns ((key S, key T, dim), witness key) or None
+    when the colouring is proper.
     """
+    fp = _Fingerprints(params)
     field = params.field
-    combos = [C for u in weight_vectors_lex(params.m, params.t)
-              for C in rref_bases(params.q, u)]
-    coeff_rows = sorted({r for C in combos for r in C})
-    row_at = {r: k for k, r in enumerate(coeff_rows)}
-    shapes = [tuple(row_at[r] for r in C) for C in combos]
+    return _named_clash(fp, colour_clash(colours, lambda i: fp.of_rows(bases[i])),
+                        lambda k: Subspace(MatrixFq(field, bases[k])))
 
-    def fingerprints(i: int):
-        basis = bases[i]
-        vecs = [_span_combination(field, r, basis) for r in coeff_rows]
-        return [tuple(vecs[k] for k in C) for C in shapes]
 
-    clash = colour_clash(colours, fingerprints)
-    if clash is None:
-        return None
-    i, j, shared = clash
-    S, T = (Subspace(MatrixFq(field, bases[k])) for k in (i, j))
-    dim = intersection_dim(S.basis, T.basis)
-    witness = encode_subspace(Subspace(MatrixFq(field, shared)))
-    return (encode_subspace(S), encode_subspace(T), dim), witness
+class _KeyParser:
+    """Reads the canonical vertex keys of one graph by template.
+
+    A key must start with this graph's `q=..;n=..;m=..;rows=[[` header and
+    hold m rows of n entries.  Its pivots are read as the first 1 of each
+    row, and the `key_template` of those pivots, filled with the key's own
+    free-cell texts, must re-render the key exactly.  That re-render is the
+    canonicity check: pivot 1s, 0s left of and above the pivots, row order,
+    entry text and shape.  The free-cell texts must be `entry_texts`, read
+    through one dict.
+    """
+
+    def __init__(self, params: GrassmannParams):
+        self.field, self.n, self.m = params.field, params.n, params.m
+        texts = entry_texts(self.field)
+        self.one = texts[1]
+        self.row_starts = range(0, self.m * self.n, self.n)
+        self.value_of = {text: v for v, text in enumerate(texts)}
+        self.head = f"q={params.q};n={params.n};m={params.m};rows=[["
+        self._specs: dict[tuple[int, ...], tuple] = {}
+
+    def parse(self, key: str) -> tuple[tuple[int, ...], list[int]] | None:
+        """(pivots, free-cell values) of a canonical key, else None."""
+        if not (key.startswith(self.head) and key.endswith("]]")):
+            return None
+        cells = key[len(self.head):-2].replace("],[", ",").split(",")
+        if len(cells) != self.m * self.n:
+            return None
+        try:
+            pivots = tuple([cells.index(self.one, lo, lo + self.n) - lo
+                            for lo in self.row_starts])
+        except ValueError:  # a row with no 1
+            return None
+        spec = self._specs.get(pivots)
+        if spec is None:
+            idvec = [1 if j in pivots else 0 for j in range(self.n)]
+            spec = self._specs[pivots] = (pivots, key_template(self.field, idvec), [
+                i * self.n + j for i, j in free_cells(idvec)])
+        pivots, template, at = spec  # one pivots tuple per pivot set
+        texts = [cells[x] for x in at]
+        if template.format(*texts) != key:
+            return None
+        try:
+            return pivots, list(map(self.value_of.__getitem__, texts))
+        except KeyError:
+            return None
 
 
 def verify_properness(cert: ColourCertificate) -> VerificationReport:
     """Re-check a certificate from scratch: coverage first, then properness.
 
-    Every key must decode to an m-subspace of this graph's F_q^n and
-    re-encode to itself, once.  Distinct canonical keys are distinct
+    Every key must be the canonical key of an m-subspace of this graph's
+    F_q^n (`_KeyParser`), once.  Distinct canonical keys are distinct
     vertices, so V such keys cover the Grassmannian; the expected key set
     is enumerated only to list what is missing on refusal, and only when
     the graph has at most MISSING_LIST_SLACK more vertices than the
     certificate has keys, so a refusal costs time linear in the
-    certificate's size.  Properness is
-    the fingerprint check of `_find_clash`; `pairs_checked` is the C(V, 2)
-    pairs it certifies, and 0 when it refuses.
+    certificate's size.  Properness is the fingerprint check `_find_clash`
+    runs, fed with the parsed pivots and free cells, so no `Subspace` is
+    built for an accepted certificate.  `pairs_checked` is the C(V, 2) pairs it
+    certifies, and 0 when it refuses.
     """
     params = cert.params
     shape = (params.q, params.n, params.m)
+    parser = _KeyParser(params)
     seen: set[str] = set()
     invalid: list[str] = []
-    bases: list[tuple[tuple[int, ...], ...]] = []
+    vertices: list[tuple[tuple[int, ...], list[int]]] = []
     colours: list[int] = []
     for key, colour in cert.colours:
-        try:
-            S = decode_subspace(key)
-            canon = encode_subspace(S)
-        except ValueError:
-            invalid.append(key)
-            continue
-        if canon != key or key in seen or (S.q, S.n, S.m) != shape:
+        vertex = parser.parse(key)
+        if vertex is None or key in seen:
             invalid.append(key)
             continue
         seen.add(key)
-        bases.append(S.basis.rows)
+        vertices.append(vertex)
         colours.append(colour)
     declared = params.vertex_count()
     if invalid or len(seen) != declared:
@@ -424,10 +560,13 @@ def verify_properness(cert: ColourCertificate) -> VerificationReport:
         return VerificationReport(False, 0, None, False, missing,
                                   tuple(sorted(set(invalid))),
                                   declared=declared, given=len(cert.colours))
-    clash = _find_clash(bases, colours, params)
+    # with nothing invalid, vertex k is the certificate's entry k
+    fp = _Fingerprints(params)
+    clash = _named_clash(fp, colour_clash(colours, lambda i: fp.of(*vertices[i])),
+                         lambda k: decode_subspace(cert.colours[k][0]))
     if clash is not None:
         return VerificationReport(False, 0, clash[0], True, (), (), clash[1])
-    nv = len(bases)
+    nv = len(vertices)
     return VerificationReport(True, nv * (nv - 1) // 2, None, True, (), ())
 
 

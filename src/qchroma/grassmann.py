@@ -224,7 +224,7 @@ def _entry_to_text(field: FieldSpec, idx: int) -> str:
 
 
 def _entry_from_text(field: FieldSpec, text: str) -> int:
-    if "-" in text:
+    if field.p > 10:  # "-"-separated numbers, so "10" is one coefficient
         digits = [int(d) for d in text.split("-")]
     else:
         digits = [int(ch) for ch in text]

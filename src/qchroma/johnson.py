@@ -8,10 +8,13 @@ when they share at least t elements.  Two proper colourings are provided:
   set whose (m-t)-fold sums are pairwise distinct.  Same colour then forces
   an intersection of at most t - 1 elements, and the palette is at most r.
 * `greedy_colouring` runs saturation-guided greedy colouring over the
-  subsets in lexicographic order; at desk scale it usually beats r.
+  subsets in lexicographic order; at desk scale it usually beats r.  It
+  refuses more than GREEDY_SUBSET_CAP subsets.
 
 `johnson_colouring` selects one of them by its method name ("greedy" or
-"gs") and refuses any other name.
+"gs").  `check_method` refuses any other name; `colouring.make_context`
+and `colouring.bounds_report` call it up front, also where they build no
+Johnson colouring.
 
 The Bose-Chowla set itself is built from discrete logarithms of the
 projective line spanned by {1, g} in F_{p^{m-t+1}} and then *verified
@@ -23,10 +26,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from math import comb
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .ff import discrete_log, field_make, is_prime, primitive_element
 from .oracle import dsatur
+
+# greedy builds O(C(n, m)^2) adjacency: 0.6 s at C(12, 6) = 924 subsets on a
+# 2-vCPU Xeon, so the cap keeps a refusal, not a hang, above that size
+GREEDY_SUBSET_CAP = 1_000
 
 
 @dataclass(frozen=True)
@@ -140,8 +148,15 @@ def gs_colouring(n: int, m: int, t: int) -> JohnsonColouring:
 
 
 def greedy_colouring(n: int, m: int, t: int) -> JohnsonColouring:
-    """Saturation-greedy colouring, deterministic (ties to the lowest vertex)."""
+    """Saturation-greedy colouring, deterministic (ties to the lowest vertex).
+
+    Refuses more than GREEDY_SUBSET_CAP subsets before any adjacency is built.
+    """
     _validate(n, m, t)
+    if comb(n, m) > GREEDY_SUBSET_CAP:
+        raise ValueError(f"greedy colouring of J({n},{m},{t}) needs adjacency over "
+                         f"{comb(n, m)} subsets, above the cap {GREEDY_SUBSET_CAP}; "
+                         f"use --johnson gs")
     verts = subsets_lex(n, m)
     adj = _adjacency_masks(verts, t)
     assignment = dsatur(adj)
@@ -152,13 +167,18 @@ def greedy_colouring(n: int, m: int, t: int) -> JohnsonColouring:
 JOHNSON_METHODS = ("greedy", "gs")
 
 
+def check_method(method: str) -> None:
+    """ValueError unless `method` is one of JOHNSON_METHODS."""
+    if method not in JOHNSON_METHODS:
+        raise ValueError(f"unknown johnson method {method!r}")
+
+
 def johnson_colouring(method: str, n: int, m: int, t: int) -> JohnsonColouring:
     """The colouring of J(n, m, t) named by `method`, one of JOHNSON_METHODS."""
-    if method == "greedy":
-        return greedy_colouring(n, m, t)
+    check_method(method)
     if method == "gs":
         return gs_colouring(n, m, t)
-    raise ValueError(f"unknown johnson method {method!r}")
+    return greedy_colouring(n, m, t)
 
 
 def _adjacency_masks(verts: list[tuple[int, ...]], t: int) -> list[int]:
@@ -180,7 +200,6 @@ def johnson_bounds(n: int, m: int, t: int) -> tuple[int, int]:
     the constant-weight-code cap on independent sets.
     """
     _validate(n, m, t)
-    from math import comb
     lower = -(-comb(n, m) * comb(m, t) // comb(n, t))
     p = smallest_prime_geq(n + 1)
     gs_upper = (p ** (m - t + 1) - 1) // (p - 1)

@@ -9,6 +9,7 @@ never overflow.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, Sequence
 
 from .ff import FieldSpec
@@ -187,6 +188,65 @@ def _complement_of_rref(field: FieldSpec, rows: Sequence[Sequence[int]],
     pivots2 = _eliminate(field, out, reduced=True)
     assert len(pivots2) == len(free)
     return tuple(tuple(r) for r in out)
+
+
+_FOLD_BITS = 12  # a fold table reads this many bits of a slot sum at a time
+
+
+class PackedFp:
+    """Vectors over F_p packed into integers, one bit slot per coordinate.
+
+    Coordinate j lives in bits [j * width, (j + 1) * width).  A slot is wide
+    enough for the sum of `terms` coordinates, so the integer sum of up to
+    `terms` packed vectors adds them coordinatewise with no carry between
+    slots.  `fold` reduces every slot mod p and reads slot j as base-p digit
+    j; its table maps `bits` bits (`bits // width` slots) at a time, and
+    `passes` lookups cover `slots` coordinates.
+    """
+
+    __slots__ = ("width", "bits", "base", "passes", "table")
+
+    def __init__(self, p: int, terms: int, slots: int):
+        self.width = width = (terms * (p - 1)).bit_length()
+        per = max(1, _FOLD_BITS // width)
+        self.bits = per * width
+        self.base = p ** per
+        self.passes = -(-slots // per)
+        self.table = _fold_table(p, width, per)
+
+    def pack(self, digits: Sequence[int]) -> int:
+        """The packed vector with these coordinates, slot 0 first."""
+        return sum(d << (self.width * j) for j, d in enumerate(digits))
+
+    def fold(self, total: int) -> int:
+        """The base-p value of a sum of packed vectors, each slot taken mod p."""
+        table, bits, mask = self.table, self.bits, (1 << self.bits) - 1
+        out = 0
+        scale = 1
+        while total:
+            out += table[total & mask] * scale
+            total >>= bits
+            scale *= self.base
+        return out
+
+    def fold_all(self, totals: list[int]) -> list[int]:
+        """`fold` of every sum of `slots` coordinates, one pass per table lookup."""
+        table, bits, mask = self.table, self.bits, (1 << self.bits) - 1
+        out = [table[s & mask] for s in totals]
+        shift, scale = bits, self.base
+        for _ in range(1, self.passes):
+            out = [o + table[s >> shift & mask] * scale for o, s in zip(out, totals)]
+            shift += bits
+            scale *= self.base
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_table(p: int, width: int, per: int) -> tuple[int, ...]:
+    """Base-p digits of every run of `per` slots, each slot taken mod p."""
+    slot = (1 << width) - 1
+    return tuple(sum((s >> (width * j) & slot) % p * p ** j for j in range(per))
+                 for s in range(1 << (per * width)))
 
 
 def gaussian_binomial(n: int, m: int, q: int) -> int:

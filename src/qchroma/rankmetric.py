@@ -32,7 +32,7 @@ import itertools
 from typing import Iterator, Sequence
 
 from .ff import FieldSpec, field_for_order, relative_extension
-from .matq import MatrixFq, _eliminate, rank
+from .matq import MatrixFq, PackedFp, _eliminate, rank
 from .grassmann import Subspace
 
 DISTANCE_SCAN_LIMIT = 2 ** 20  # codes larger than this are not scanned
@@ -218,9 +218,6 @@ def _complement_value(code: GabidulinCode, vec: list[int]) -> int:
     return val
 
 
-_FOLD_BITS = 12  # the fold table reads this many bits of a slot sum at a time
-
-
 class SyndromeTable:
     """`coset_index` of one code as a sum of per-cell terms, built once.
 
@@ -234,59 +231,37 @@ class SyndromeTable:
 
     The base-p digits of a coset index are the F_p coordinates of its F_q
     digits (q = p^k, an F_q index is base p), and F_q addition is digitwise
-    addition mod p.  A term stores base-p digit j of v·s(x) in bit slot j
-    of `width` bits, wide enough for one term per cell, so integer sums of
-    terms add digit vectors without carries.  `index` reduces each slot
-    mod p and reads the slots back as the coset index.
+    addition mod p.  A term is packed by `matq.PackedFp` with one slot per
+    base-p digit, wide enough for one term per cell, so integer sums of
+    terms add digit vectors without carries.  `index` folds each slot mod
+    p and reads the slots back as the coset index.
     """
 
-    __slots__ = ("terms", "width", "_fold", "_fold_bits", "_fold_base", "_passes")
+    __slots__ = ("terms", "packed")
 
     def __init__(self, code: GabidulinCode):
         p = code.field.p
         cells = code.m * code.h
-        self.width = width = (cells * (p - 1)).bit_length()
+        digits = len(_base_digits(code.num_cosets - 1, p))
+        self.packed = packed = PackedFp(p, cells, digits)
         terms = []
         for x in range(cells):
             row = []
             for v in range(code.q):
                 vec = [0] * cells
                 vec[x] = v
-                digits = _base_digits(_complement_value(code, code._reduce(vec)), p)
-                row.append(sum(d << (width * j) for j, d in enumerate(digits)))
+                row.append(packed.pack(_base_digits(
+                    _complement_value(code, code._reduce(vec)), p)))
             terms.append(tuple(row))
         self.terms = tuple(terms)
-        # one table lookup reduces `per` slots at a time
-        per = max(1, _FOLD_BITS // width)
-        digits = len(_base_digits(code.num_cosets - 1, p))
-        self._passes = -(-digits // per)
-        self._fold_bits = per * width
-        self._fold_base = p ** per
-        slot = (1 << width) - 1
-        self._fold = [sum((s >> (width * j) & slot) % p * p ** j for j in range(per))
-                      for s in range(1 << self._fold_bits)]
 
     def index(self, total: int) -> int:
         """The coset index of a sum of terms."""
-        fold, bits, mask = self._fold, self._fold_bits, (1 << self._fold_bits) - 1
-        out = 0
-        scale = 1
-        while total:
-            out += fold[total & mask] * scale
-            total >>= bits
-            scale *= self._fold_base
-        return out
+        return self.packed.fold(total)
 
     def indices(self, totals: list[int]) -> list[int]:
         """`index` of every sum, one pass per table lookup."""
-        fold, bits, mask = self._fold, self._fold_bits, (1 << self._fold_bits) - 1
-        out = [fold[s & mask] for s in totals]
-        shift, scale = bits, self._fold_base
-        for _ in range(1, self._passes):
-            out = [o + fold[s >> shift & mask] * scale for o, s in zip(out, totals)]
-            shift += bits
-            scale *= self._fold_base
-        return out
+        return self.packed.fold_all(totals)
 
 
 def _base_digits(value: int, p: int) -> list[int]:

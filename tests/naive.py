@@ -1,13 +1,18 @@
 """Deliberately naive reference implementations used as independent oracles.
 
-Everything here models a subspace as the frozen set of ALL its vectors
-(coordinate tuples) and never touches echelon forms, so agreement with the
-library is meaningful evidence rather than a tautology.
+Everything here but the verifier references at the end models a subspace
+as the frozen set of ALL its vectors (coordinate tuples) and never touches
+echelon forms, so agreement with the library is meaningful evidence rather
+than a tautology.
 """
 
 import itertools
 
 from qchroma.ff import field_for_order
+from qchroma.grassmann import (Subspace, decode_subspace, encode_subspace,
+                               rref_bases, weight_vectors_lex)
+from qchroma.johnson import colour_clash
+from qchroma.matq import MatrixFq
 
 
 def all_vectors(q, n):
@@ -152,3 +157,59 @@ def naive_smallest_irreducible(q, d):
         if all(any(_poly_rem(f, g, F)) for g in divisors):
             return f
     return None
+
+
+# -- reference routes of the certificate verifier -----------------------------
+# These go through the library's key codec and RREF bases, but not through
+# the verifier's template parsing or packed field arithmetic, so agreement
+# checks that machinery key by key and clash by clash.
+
+def naive_key_ok(key, params):
+    """Per-key check by round trip: `decode_subspace` accepts the key, it
+    re-encodes to itself and it is an m-subspace of this graph's F_q^n."""
+    try:
+        S = decode_subspace(key)
+        canon = encode_subspace(S)
+    except ValueError:
+        return False
+    return canon == key and (S.q, S.n, S.m) == (params.q, params.n, params.m)
+
+
+def naive_unexpected(keys, params):
+    """The keys a verifier must refuse: not canonical here, or repeated."""
+    seen, bad = set(), set()
+    for key in keys:
+        if naive_key_ok(key, params) and key not in seen:
+            seen.add(key)
+        else:
+            bad.add(key)
+    return tuple(sorted(bad))
+
+
+def tuple_clash(keys, colours, params):
+    """First clash of `colour_clash` over tuple-of-tuples fingerprints.
+
+    Vertex i is decoded from keys[i]; its fingerprints are the rows of C·B,
+    B its RREF basis and C each RREF t x m basis in `rref_bases` order over
+    `weight_vectors_lex(m, t)`, built entry by entry.  Returns
+    ((key, key, dim), witness key) or None; dim comes from the vector sets.
+    """
+    F, q = params.field, params.q
+    bases = [decode_subspace(k).basis.rows for k in keys]
+    combos = [C for u in weight_vectors_lex(params.m, params.t)
+              for C in rref_bases(q, u)]
+
+    def combination(coeffs, rows):
+        acc = tuple([0] * len(rows[0]))
+        for c, row in zip(coeffs, rows):
+            acc = vec_add(F, acc, vec_scale(F, c, row))
+        return acc
+
+    clash = colour_clash(colours, lambda i: [
+        tuple(combination(r, bases[i]) for r in C) for C in combos])
+    if clash is None:
+        return None
+    i, j, shared = clash
+    dim = naive_intersection_dim(q, span(q, bases[i]), span(q, bases[j]))
+    witness = encode_subspace(Subspace(MatrixFq(F, shared)))
+    return (keys[i], keys[j], dim), witness

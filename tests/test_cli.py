@@ -172,6 +172,25 @@ def test_verify_over_large_declared_graph_exits_2_quickly(tmp_path, capsys):
     assert f"35 keys for {gaussian_binomial(24, 12, 2)} vertices" in err
 
 
+def test_colour_verify_roundtrip_over_a_prime_field_above_10(tmp_path, capsys):
+    # F_11 entries of value 10 are written "10"; the verifier must read them
+    cert = os.path.join(tmp_path, "f11.json")
+    assert main(["colour", "--q", "11", "--n", "3", "--m", "2", "--t", "1",
+                 "--out", cert]) == 0
+    assert ",10]" in open(cert).read()
+    assert main(["verify", "--cert", cert]) == 0
+    assert capsys.readouterr().out.startswith("OK: proper colouring")
+
+
+def test_bounds_above_the_greedy_cap_exits_1_quickly(capsys):
+    # greedy would build adjacency over C(18, 9) = 48 620 subsets
+    start = time.perf_counter()
+    assert main(["bounds", "--q", "2", "--n", "18", "--m", "9", "--t", "1"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "48620 subsets" in err and "--johnson gs" in err
+
+
 def test_complete_regime_through_cli(tmp_path):
     cert = os.path.join(tmp_path, "complete.json")
     assert main(["colour", "--q", "2", "--n", "5", "--m", "3", "--t", "1",

@@ -10,7 +10,7 @@ from qchroma import colouring as col
 from qchroma import grassmann, rankmetric
 from qchroma.grassmann import (GrassmannParams, adjacent, decode_subspace,
                                dualize, encode_subspace, enumerate_subspaces)
-from qchroma.matq import gaussian_binomial, intersection_dim
+from qchroma.matq import MatrixFq, gaussian_binomial, intersection_dim
 
 
 def test_regimes_partition_valid_parameters():
@@ -155,6 +155,16 @@ def test_unknown_johnson_method_is_refused():
         col.bounds_report(params, "bogus")
     with pytest.raises(ValueError, match="unknown johnson method"):
         col.make_context(params, "bogus")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: col.make_context(GrassmannParams(2, 5, 3, 1), "bogus"),
+    lambda: col.bounds_report(GrassmannParams(2, 6, 3, 1), "bogus", johnson_palette=5),
+    lambda: col.bounds_report(GrassmannParams(2, 5, 3, 1), "bogus")],
+    ids=["context-complete", "bounds-given-palette", "bounds-complete"])
+def test_unknown_johnson_method_is_refused_where_no_colouring_is_built(call):
+    with pytest.raises(ValueError, match="unknown johnson method"):
+        call()
 
 
 def test_context_over_f4_with_a_degree_10_extension_is_quick():
@@ -398,3 +408,159 @@ def test_coverage_by_count_lists_alien_and_duplicate_keys():
     rep = col.verify_properness(dataclasses.replace(cert, colours=extra))
     assert not rep.coverage_ok
     assert rep.missing == () and rep.unexpected == (extra[-1][0],)
+
+
+# -- template-parsed keys and packed fingerprints against the references ------
+
+PARSER_GRAPHS = [(2, 4, 2, 1), (4, 4, 2, 1), (9, 3, 2, 1)]
+
+
+def _render(q, n, m, rows):
+    body = ",".join("[" + ",".join(row) + "]" for row in rows)
+    return f"q={q};n={n};m={m};rows=[{body}]"
+
+
+def _malformed_corpus(p):
+    """Keys of every fifth vertex of J_q(n, m), each bent out of canonical form."""
+    q, n, m, _ = p
+    texts = grassmann.entry_texts(GrassmannParams(*p).field)
+    zero, one = texts[0], texts[1]
+    unknown = [s for s in ("2", "0", "1", "00", "30", "01-", "", " 1", "x")
+               if s not in texts]
+    corpus = []
+    for S in list(enumerate_subspaces(q, n, m))[::5]:
+        key = encode_subspace(S)
+        rows = [[texts[v] for v in row] for row in S.basis.rows]
+        piv = S.pivot_columns()
+
+        def bent(i, j, text):
+            out = [row[:] for row in rows]
+            out[i][j] = text
+            return _render(q, n, m, out)
+        corpus += [bent(0, piv[0] + 1, s) for s in unknown]        # unknown entry text
+        corpus += [bent(1, 0, s) for s in unknown[:2]]              # ... at a forced 0
+        corpus += [bent(0, piv[1], one),                             # nonzero above a pivot
+                   bent(1, 0, one),                                  # nonzero left of a pivot
+                   _render(q, n, m, rows[::-1]),                     # swapped rows
+                   _render(q, n, m, [rows[0], [zero] * n]),          # a zero row
+                   _render(q, n, m, rows[:1]),                       # a missing row
+                   _render(q, n, m, rows + [[zero] * (n - 1) + [one]]),  # an extra row
+                   _render(q, n, m, [rows[0][:-1], rows[1]]),        # a short row
+                   _render(q, n, m, [rows[0], rows[1] + [zero]]),    # a long row
+                   _render(q + 1, n, m, rows), _render(q, n + 1, m, rows),
+                   _render(q, n, m + 1, rows), key.replace("q=", "q=0"),
+                   key + " ", key + "]", key + ",", " " + key, key[:-1]]
+        if q > 2:
+            corpus.append(bent(0, piv[0], texts[2]))                 # a pivot that is not 1
+    return corpus
+
+
+@pytest.mark.parametrize("p", PARSER_GRAPHS)
+def test_key_parser_agrees_with_the_round_trip_reference(p):
+    params = GrassmannParams(*p)
+    parser = col._KeyParser(params)
+    corpus = _malformed_corpus(p)
+    assert not any(naive.naive_key_ok(key, params) for key in corpus)
+    for key in corpus:
+        assert parser.parse(key) is None, key
+    for S in enumerate_subspaces(*p[:3]):
+        key = encode_subspace(S)
+        assert naive.naive_key_ok(key, params)
+        assert parser.parse(key) == (S.pivot_columns(), [
+            S.basis.rows[i][j] for i, j in grassmann.free_cells(S.idvec)])
+
+
+@pytest.mark.parametrize("p", PARSER_GRAPHS)
+def test_verifier_refuses_exactly_the_reference_unexpected_keys(p):
+    params = GrassmannParams(*p)
+    cert = col.full_colouring(col.make_context(params), verify=False)
+    entries = (cert.colours + tuple((key, 0) for key in _malformed_corpus(p))
+               + (cert.colours[3],))  # and a duplicate key
+    rep = col.verify_properness(dataclasses.replace(cert, colours=entries))
+    assert not rep.coverage_ok and rep.missing == ()
+    assert rep.unexpected == naive.naive_unexpected([k for k, _ in entries], params)
+    assert cert.colours[3][0] in rep.unexpected
+
+
+def test_accepted_certificate_builds_no_subspace_and_no_key_round_trip(monkeypatch):
+    cert = col.full_colouring(col.make_context(GrassmannParams(2, 6, 3, 2)),
+                              verify=False)
+    counts = dict.fromkeys(("Subspace", "decode_subspace", "encode_subspace"), 0)
+    init = grassmann.Subspace.__init__
+
+    def counted_init(self, basis):
+        counts["Subspace"] += 1
+        init(self, basis)
+    monkeypatch.setattr(grassmann.Subspace, "__init__", counted_init)
+    for name in ("decode_subspace", "encode_subspace"):
+        def counted(*args, _name=name, _real=getattr(grassmann, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(grassmann, name, counted)
+        monkeypatch.setattr(col, name, counted)
+    rep = col.verify_properness(cert)
+    assert rep.proper and rep.pairs_checked == 1395 * 1394 // 2
+    assert counts == {"Subspace": 0, "decode_subspace": 0, "encode_subspace": 0}
+
+
+def _adjacent_pair_mutant(keys, colours, params, rng):
+    """The colours with one vertex recoloured to match a random neighbour."""
+    a = rng.randrange(len(keys))
+    basis = decode_subspace(keys[a]).basis
+    while True:
+        b = rng.randrange(len(keys))
+        if colours[b] != colours[a] and \
+                intersection_dim(basis, decode_subspace(keys[b]).basis) >= params.t:
+            break
+    out = list(colours)
+    out[b] = colours[a]
+    return out
+
+
+CLASH_GRAPHS = [(2, 4, 2, 1), (2, 5, 3, 2), (2, 5, 3, 1),
+                (4, 4, 2, 1), (4, 5, 3, 2), (4, 3, 2, 1),
+                (9, 4, 2, 1), (9, 3, 2, 1)]
+
+
+@pytest.mark.parametrize("p", CLASH_GRAPHS)
+def test_clash_mutant_is_refused_with_the_reference_pair_and_witness(p):
+    params = GrassmannParams(*p)
+    cert = col.full_colouring(col.make_context(params), verify=False)
+    keys = [k for k, _ in cert.colours]
+    colours = _adjacent_pair_mutant(keys, [c for _, c in cert.colours], params,
+                                    random.Random(sum(p)))
+    rep = col.verify_properness(
+        dataclasses.replace(cert, colours=tuple(zip(keys, colours))))
+    assert rep.coverage_ok and not rep.proper and rep.pairs_checked == 0
+    assert (rep.counterexample, rep.witness) == naive.tuple_clash(keys, colours, params)
+
+
+def test_clash_in_a_sample_of_a_dual_graph_over_f9_matches_the_reference():
+    # J_9(5,3,2) has 605 242 vertices, so its dual-regime colouring is checked
+    # on a seeded sample: vertices S, each with a neighbour sharing S's first
+    # two basis rows, coloured by the construction; then one neighbour takes
+    # its S's colour
+    params = GrassmannParams(9, 5, 3, 2)
+    assert col.regime_of(params) == "dual"
+    ctx = col.make_context(params)
+    field, rng = params.field, random.Random(9)
+
+    def random_row():
+        return tuple(rng.randrange(9) for _ in range(5))
+    verts = set()
+    while len(verts) < 200:
+        try:
+            S = grassmann.Subspace.from_matrix(MatrixFq(field, tuple(
+                random_row() for _ in range(3))))
+            T = grassmann.Subspace.from_matrix(MatrixFq(
+                field, S.basis.rows[:2] + (random_row(),)))
+        except ValueError:  # dependent rows
+            continue
+        verts |= {S, T}
+    verts = sorted(verts, key=encode_subspace)
+    keys = [encode_subspace(S) for S in verts]
+    colours = _adjacent_pair_mutant(keys, [col.colour_subspace(ctx, S) for S in verts],
+                                    params, rng)
+    clash = col._find_clash([S.basis.rows for S in verts], colours, params)
+    assert clash is not None
+    assert clash == naive.tuple_clash(keys, colours, params)

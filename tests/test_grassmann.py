@@ -1,11 +1,11 @@
 import pytest
 
 from qchroma.ff import field_make
-from qchroma.grassmann import (GrassmannParams, Subspace, adjacent,
-                               decode_subspace, degree_formula, dualize,
-                               encode_subspace, enumerate_subspaces,
-                               enumeration_index, identifying_vector,
-                               weight_vectors_lex)
+from qchroma.grassmann import (GrassmannParams, Subspace, _entry_from_text,
+                               _entry_to_text, adjacent, decode_subspace,
+                               degree_formula, dualize, encode_subspace,
+                               enumerate_subspaces, enumeration_index,
+                               identifying_vector, weight_vectors_lex)
 from qchroma.matq import MatrixFq, gaussian_binomial, intersection_dim
 
 import naive
@@ -165,6 +165,17 @@ def test_encode_decode_roundtrip():
         for S in enumerate_subspaces(q, n, m):
             key = encode_subspace(S)
             assert decode_subspace(key) == S
+
+
+@pytest.mark.parametrize("p,k", [(11, 1), (13, 1), (11, 2)])
+def test_entry_text_roundtrips_above_p_10(p, k):
+    # an F_11 element of value 10 is the one coefficient "10", not "1-0"
+    field = field_make(p, k)
+    texts = [_entry_to_text(field, v) for v in range(field.order)]
+    assert len(set(texts)) == field.order
+    assert [_entry_from_text(field, s) for s in texts] == list(range(field.order))
+    S = decode_subspace("q=11;n=4;m=2;rows=[[0,1,0,0],[0,0,1,10]]")
+    assert S.basis.rows[1][3] == 10
 
 
 def test_decode_rejects_malformed_keys():
