@@ -143,6 +143,7 @@ def _cmd_bounds(args) -> int:
     elif args.format == "csv":
         keys = ["regime", "vertices", "lower", "theorem_upper",
                 "trivial_upper", "johnson_palette"]
+        keys += ["johnson_residue_ring"] if "johnson_residue_ring" in rep else []
         print(",".join(keys))
         print(",".join(str(rep[k]) for k in keys))
     else:
@@ -153,6 +154,9 @@ def _cmd_bounds(args) -> int:
         print(f"  trivial upper (deg+1):  {rep['trivial_upper']}")
         if rep["johnson_palette"] is not None:
             print(f"  johnson palette used:   {rep['johnson_palette']}")
+        if "johnson_residue_ring" in rep:
+            print(f"  johnson residue ring:   {rep['johnson_residue_ring']} "
+                  f"(residue-ring bound, not a built palette)")
     return 0
 
 

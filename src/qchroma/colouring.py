@@ -34,7 +34,11 @@ In the complete regime the colour is the running index.
 sealing the certificate: two vertices are adjacent exactly when they share
 a t-subspace, so no colour class may repeat a t-subspace fingerprint.
 Certificates serialize to a single JSON document with all integers as
-decimal strings; byte-identical across runs for equal inputs.
+decimal strings; byte-identical across runs for equal inputs.  The bytes
+are those of `json.dumps(doc, indent=1, sort_keys=True)`, but
+`certificate_to_json` writes the `colours` array itself, one f-string per
+entry with the key escaped as `json.dumps` escapes it, and splices it into
+a dump of the rest of the document.
 
 `verify_properness` re-checks a certificate without building a `Subspace`
 per vertex.  Keys are parsed by template (`_KeyParser`): the header is
@@ -52,6 +56,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _json_string
 from operator import getitem
 from typing import Iterable
 
@@ -59,8 +64,8 @@ from .grassmann import (GrassmannParams, Subspace, decode_subspace, dualize,
                         degree_formula, encode_subspace, entry_texts,
                         enumerate_subspaces, enumeration_index, free_cells,
                         key_template, rref_bases, weight_vectors_lex)
-from .johnson import (JohnsonColouring, check_method, colour_clash,
-                      johnson_colouring)
+from .johnson import (JohnsonColouring, check_method, colour_clash, gs_fits_desk,
+                      johnson_bounds, johnson_colouring)
 from .matq import (MatrixFq, PackedFp, _complement_of_rref, gaussian_binomial,
                    intersection_dim)
 from .rankmetric import (DISTANCE_SCAN_LIMIT, GabidulinCode, SyndromeTable,
@@ -198,6 +203,12 @@ def bounds_report(params: GrassmannParams, johnson_method: str = "greedy",
     complete regime the whole vertex set is a clique, so the count itself).
     theorem_upper: Johnson palette times the coset count of the regime's
     code.  trivial_upper: vertex degree plus one.
+
+    When method "gs" would need a field beyond desk scale, no palette is
+    built: johnson_palette is None, and the report gains
+    johnson_residue_ring, the modulus r of `johnson.johnson_bounds` that the
+    sum colouring's palette cannot exceed, which stands in for the palette
+    in theorem_upper.
     """
     check_method(johnson_method)
     q, n, m, t = params.q, params.n, params.m, params.t
@@ -212,10 +223,16 @@ def bounds_report(params: GrassmannParams, johnson_method: str = "greedy",
                 gaussian_binomial(2 * m - t, m - t, q))
     coloured = params if regime == DIRECT else params.dual()
     jn, jm, jt = coloured.n, coloured.m, coloured.t
+    cosets = q ** ((jn - jm) * (jm - jt))
+    if johnson_palette is None and johnson_method == "gs" and not gs_fits_desk(jn, jm, jt):
+        residue_ring = johnson_bounds(jn, jm, jt)[1]
+        return {"regime": regime, "vertices": vertices, "lower": lower,
+                "theorem_upper": residue_ring * cosets, "trivial_upper": trivial_upper,
+                "johnson_palette": None, "johnson_residue_ring": residue_ring}
     if johnson_palette is None:
         johnson_palette = johnson_colouring(johnson_method, jn, jm, jt).palette
     return {"regime": regime, "vertices": vertices, "lower": lower,
-            "theorem_upper": johnson_palette * q ** ((jn - jm) * (jm - jt)),
+            "theorem_upper": johnson_palette * cosets,
             "trivial_upper": trivial_upper, "johnson_palette": johnson_palette}
 
 
@@ -581,6 +598,14 @@ def _stringify(value):
 
 
 def certificate_to_json(cert: ColourCertificate) -> str:
+    """The certificate as `json.dumps(doc, indent=1, sort_keys=True)` + newline.
+
+    The `colours` array is rendered one f-string per entry, with each key
+    escaped by `encode_basestring_ascii`, as `json.dumps` escapes every
+    string; the rest of the document is dumped with an empty array, which
+    the rendered one replaces.  With `indent` set, `json.dumps` cannot use
+    its C encoder, so dumping V entry dicts would walk them in Python.
+    """
     doc = {
         "params": {"q": str(cert.params.q), "n": str(cert.params.n),
                    "m": str(cert.params.m), "t": str(cert.params.t)},
@@ -590,7 +615,7 @@ def certificate_to_json(cert: ColourCertificate) -> str:
                      "palette": str(cert.johnson_palette)}),
         "code": (None if cert.code_params is None else
                  {k: _stringify(v) for k, v in cert.code_params.items()}),
-        "colours": [{"vertex": k, "colour": str(c)} for k, c in cert.colours],
+        "colours": [],
         "bounds": {k: str(v) for k, v in cert.bounds.items()},
         "verified": {"proper": cert.proper,
                      "pairs_checked": str(cert.pairs_checked)},
@@ -600,7 +625,13 @@ def certificate_to_json(cert: ColourCertificate) -> str:
                              for u, fam in sorted(cert.family_sizes.items())},
         },
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    if not cert.colours:
+        return text
+    # a string value holds no raw newline, so this is the top-level key
+    entries = ",\n".join([f'  {{\n   "colour": "{c}",\n   "vertex": {_json_string(k)}\n  }}'
+                          for k, c in cert.colours])
+    return text.replace('\n "colours": [],\n', f'\n "colours": [\n{entries}\n ],\n', 1)
 
 
 def certificate_from_json(text: str) -> ColourCertificate:

@@ -14,7 +14,8 @@ when they share at least t elements.  Two proper colourings are provided:
 `johnson_colouring` selects one of them by its method name ("greedy" or
 "gs").  `check_method` refuses any other name; `colouring.make_context`
 and `colouring.bounds_report` call it up front, also where they build no
-Johnson colouring.
+Johnson colouring.  `gs_fits_desk` says beforehand whether "gs" can build
+its field.
 
 The Bose-Chowla set itself is built from discrete logarithms of the
 projective line spanned by {1, g} in F_{p^{m-t+1}} and then *verified
@@ -29,7 +30,8 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .ff import discrete_log, field_make, is_prime, primitive_element
+from .ff import (DESK_ORDER_LIMIT, discrete_log, field_make, is_prime,
+                 primitive_element)
 from .oracle import dsatur
 
 # greedy builds O(C(n, m)^2) adjacency: 0.6 s at C(12, 6) = 924 subsets on a
@@ -118,6 +120,12 @@ def bose_chowla(p: int, h: int) -> BoseChowlaSet:
     if len(set(elements)) != p + 1 or not _sumset_is_distinct(elements, h, r):
         elements, construction = _bose_chowla_search(p, h, r), "greedy-search"
     return BoseChowlaSet(p, h, r, elements, construction)
+
+
+def gs_fits_desk(n: int, m: int, t: int) -> bool:
+    """Whether `gs_colouring` of J(n, m, t) can build its field F_{p^(m-t+1)},
+    p the smallest prime >= n + 1, within ff.DESK_ORDER_LIMIT."""
+    return smallest_prime_geq(n + 1) ** (m - t + 1) <= DESK_ORDER_LIMIT
 
 
 def _bose_chowla_search(p: int, h: int, r: int) -> tuple[int, ...]:

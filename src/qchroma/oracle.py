@@ -250,32 +250,33 @@ def _k_colourable(g: DenseGraph, k: int, clique: tuple[int, ...],
         uncoloured -= 1
         max_used = max(max_used, i + 1)
 
-    def rec(uncoloured: int, max_used: int) -> str:
-        if uncoloured == 0:
-            return "sat"
+    # Depth-first search with an explicit stack, one frame per painted
+    # vertex: (vertex, colour, colours left to try, changed, max_used
+    # before it).  A node whose vertex has no colour left backtracks to the
+    # nearest frame with one.
+    frames: list[tuple[int, int, int, list[int], int]] = []
+    while True:
+        if len(frames) == uncoloured:
+            return "sat", colours  # the leaf's colours are the witness
         if not bud.spend():
-            return "budget"
+            return "budget", None
         v = -1
         v_sat = -1
         for u in range(n):
             if colours[u] < 0 and sat_count[u] > v_sat:
                 v = u
                 v_sat = sat_count[u]
-        limit = min(k, max_used + 1)
-        avail = ~sat_mask[v] & ((1 << limit) - 1)
-        while avail:
-            c = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            changed: list[int] = []
-            paint(v, c, changed)
-            res = rec(uncoloured - 1, max(max_used, c + 1))
+        avail = ~sat_mask[v] & ((1 << min(k, max_used + 1)) - 1)
+        while not avail:
+            if not frames:
+                return "unsat", None
+            v, c, avail, changed, max_used = frames.pop()
             unpaint(v, c, changed)
-            if res != "unsat":
-                return res
-        return "unsat"
-
-    res = rec(uncoloured, max_used)
-    return (res, colours[:] if res == "sat" else None)
+        c = (avail & -avail).bit_length() - 1
+        changed = []
+        paint(v, c, changed)
+        frames.append((v, c, avail & (avail - 1), changed, max_used))
+        max_used = max(max_used, c + 1)
 
 
 def exact_chromatic(g: DenseGraph, budget: int = DEFAULT_BUDGET) -> ChromaticResult:

@@ -1,12 +1,13 @@
 """Deliberately naive reference implementations used as independent oracles.
 
-Everything here but the verifier references at the end models a subspace
-as the frozen set of ALL its vectors (coordinate tuples) and never touches
-echelon forms, so agreement with the library is meaningful evidence rather
-than a tautology.
+Everything here but the verifier and writer references at the end models
+a subspace as the frozen set of ALL its vectors (coordinate tuples) and
+never touches echelon forms, so agreement with the library is meaningful
+evidence rather than a tautology.
 """
 
 import itertools
+import json
 
 from qchroma.ff import field_for_order
 from qchroma.grassmann import (Subspace, decode_subspace, encode_subspace,
@@ -213,3 +214,37 @@ def tuple_clash(keys, colours, params):
     dim = naive_intersection_dim(q, span(q, bases[i]), span(q, bases[j]))
     witness = encode_subspace(Subspace(MatrixFq(F, shared)))
     return (keys[i], keys[j], dim), witness
+
+
+# -- reference certificate writer ---------------------------------------------
+
+def _stringify(value):
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    raise TypeError(f"unexpected certificate value {value!r}")
+
+
+def naive_certificate_to_json(cert):
+    """The certificate as one dict per entry through `json.dumps(indent=1)`."""
+    doc = {
+        "params": {"q": str(cert.params.q), "n": str(cert.params.n),
+                   "m": str(cert.params.m), "t": str(cert.params.t)},
+        "regime": cert.regime,
+        "johnson": (None if cert.johnson_method is None else
+                    {"method": cert.johnson_method,
+                     "palette": str(cert.johnson_palette)}),
+        "code": (None if cert.code_params is None else
+                 {k: _stringify(v) for k, v in cert.code_params.items()}),
+        "colours": [{"vertex": k, "colour": str(c)} for k, c in cert.colours],
+        "bounds": {k: str(v) for k, v in cert.bounds.items()},
+        "verified": {"proper": cert.proper,
+                     "pairs_checked": str(cert.pairs_checked)},
+        "provenance": {
+            "palette_used": str(cert.palette_used),
+            "family_sizes": {u: {str(i): str(s) for i, s in sorted(fam.items())}
+                             for u, fam in sorted(cert.family_sizes.items())},
+        },
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"

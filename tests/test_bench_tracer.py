@@ -42,3 +42,21 @@ def test_tracer_installs_counts_and_uninstalls():
     assert colouring.make_context is make_context
     assert johnson.greedy_colouring is greedy
     assert grassmann.Subspace.__init__ is subspace_init
+
+
+def test_tracer_times_the_certificate_writer_once_per_colour_job(tmp_path):
+    # the benchmark's colouring.certificate_to_json.s times each certificate
+    # write as one span: `qchroma colour` calls the writer once, by that name
+    from qchroma.cli import main
+    tracer = _tracer()
+    tracer.install()
+    try:
+        out = tmp_path / "cert.json"
+        assert main(["colour", "--q", "2", "--n", "5", "--m", "2", "--t", "1",
+                     "--out", str(out)]) == 0
+        calls = {name: s["calls"] for name, s in tracer.snapshot().items()}
+    finally:
+        tracer.uninstall()
+    assert calls["colouring.full_colouring"] == 1
+    assert calls["colouring.certificate_to_json"] == 1
+    assert colouring.certificate_from_json(out.read_text()).params == GrassmannParams(2, 5, 2, 1)

@@ -4,6 +4,9 @@ import subprocess
 import sys
 import time
 
+import pytest
+
+from qchroma import johnson
 from qchroma.cli import main
 from qchroma.matq import gaussian_binomial
 
@@ -189,6 +192,28 @@ def test_bounds_above_the_greedy_cap_exits_1_quickly(capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "48620 subsets" in err and "--johnson gs" in err
+
+
+@pytest.mark.parametrize("n,m", [(18, 9), (13, 6)])
+def test_bounds_gs_beyond_desk_scale_reports_the_residue_ring(capsys, n, m):
+    # gs would build F_{19^9} (F_{17^6}); the residue-ring modulus r bounds
+    # the Johnson palette by arithmetic alone
+    r = johnson.johnson_bounds(n, m, 1)[1]
+    cosets = 2 ** ((n - m) * (m - 1))
+    start = time.perf_counter()
+    args = ["bounds", "--q", "2", "--n", str(n), "--m", str(m), "--t", "1",
+            "--johnson", "gs"]
+    assert main(args) == 0
+    assert f"johnson residue ring:   {r} (residue-ring bound, not a built palette)" \
+        in capsys.readouterr().out
+    assert main(args + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["johnson_palette"] is None and doc["johnson_residue_ring"] == str(r)
+    assert doc["theorem_upper"] == str(r * cosets)
+    assert main(args + ["--format", "csv"]) == 0
+    head, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(head.split(","), row.split(",")))["johnson_residue_ring"] == str(r)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_complete_regime_through_cli(tmp_path):

@@ -192,6 +192,49 @@ def test_certificate_json_roundtrip_and_determinism():
     assert doc["verified"]["proper"] is True
 
 
+WRITER_GRAPHS = {
+    "direct-f2": (2, 4, 2, 1), "dual-f2": (2, 5, 3, 2), "complete-f2": (2, 5, 3, 1),
+    "direct-f4": (4, 4, 2, 1), "dual-f4": (4, 5, 3, 2),
+    "direct-f9": (9, 4, 2, 1), "complete-f9": (9, 3, 2, 1),
+    "direct-f11": (11, 4, 2, 1), "complete-f11": (11, 3, 2, 1),
+    "complete-f121": (121, 3, 2, 1),  # entry texts like "1-0"
+}
+
+
+@pytest.mark.parametrize("name", WRITER_GRAPHS)
+def test_writer_matches_json_dumps_over_entry_dicts(name):
+    params = GrassmannParams(*WRITER_GRAPHS[name])
+    assert col.regime_of(params) == name.split("-")[0]
+    cert = col.full_colouring(col.make_context(params), verify=False)
+    assert col.certificate_to_json(cert) == naive.naive_certificate_to_json(cert)
+
+
+# keys a loaded certificate may carry: quote, backslash, control characters,
+# non-ASCII (BMP and astral), a lone surrogate, the empty string, and the
+# text of the writer's own splice point
+ODD_KEYS = ['"', "\\", "\x01\t\n", "é日本", "\U0001F600", "\ud800", "",
+            '\n "colours": [],\n', "q=2;n=4;m=2;rows=[[1,0,0,0],[0,1,0,0]]"]
+
+
+def _hand_built_certificate(colours):
+    return col.ColourCertificate(
+        params=GrassmannParams(2, 4, 2, 1), regime="external", johnson_method=None,
+        johnson_palette=None, code_params=None, colours=colours, palette_used=0,
+        bounds={"lower": 7}, proper=None, pairs_checked=0, family_sizes={})
+
+
+def test_writer_matches_json_dumps_on_odd_keys_and_an_empty_array():
+    odd = _hand_built_certificate(tuple(sorted((k, i) for i, k in enumerate(ODD_KEYS))))
+    text = col.certificate_to_json(odd)
+    assert text == naive.naive_certificate_to_json(odd)
+    again = col.certificate_from_json(text)
+    assert again.colours == odd.colours
+    assert col.certificate_to_json(again) == naive.naive_certificate_to_json(again) == text
+    empty = _hand_built_certificate(())
+    assert col.certificate_to_json(empty) == naive.naive_certificate_to_json(empty)
+    assert '\n "colours": [],\n' in col.certificate_to_json(empty)
+
+
 def test_verify_properness_detects_tampering():
     cert = col.full_colouring(col.make_context(GrassmannParams(2, 4, 2, 1)))
     entries = list(cert.colours)

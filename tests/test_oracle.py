@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -142,3 +143,37 @@ def test_dimacs_export(tmp_path):
     assert len(labels) == 35
     assert labels[0].split(" ", 1)[0] == "1"
     assert labels[0].split(" ", 1)[1] == g.labels[0]
+
+
+# DSATUR colours this graph with 4 colours, but its chromatic number is 3,
+# so the value comes from the decision search, not from the greedy bound
+DSATUR_MISSES = (56, 140, 162, 99, 33, 157, 136, 102)
+
+
+def _assert_exact_witness(g, ch):
+    assert ch.exact and -1 not in ch.colouring
+    assert len(set(ch.colouring)) == ch.value
+    for i in range(g.num_vertices):
+        mask = g.adj[i]
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            assert ch.colouring[i] != ch.colouring[j]
+
+
+def test_decision_search_returns_its_leaf_colouring():
+    g = DenseGraph(tuple(map(str, range(8))), DSATUR_MISSES)
+    assert max(dsatur(g.adj)) + 1 == 4
+    ch = exact_chromatic(g)
+    assert ch.value == 3
+    _assert_exact_witness(g, ch)
+
+
+def test_decision_search_depth_is_not_bounded_by_the_python_stack():
+    # 1 508 vertices, below the oracle's cap: one search frame per vertex
+    g = DenseGraph(tuple(map(str, range(1508))), DSATUR_MISSES + (0,) * 1500)
+    start = time.perf_counter()
+    ch = exact_chromatic(g)
+    assert time.perf_counter() - start < 1.0
+    assert ch.value == 3
+    _assert_exact_witness(g, ch)
