@@ -17,17 +17,20 @@ Parameters fall into three regimes:
   in dimension >= 2m - n >= t, so the graph is complete and every vertex
   gets its own colour (the enumeration index).
 
-`colour_subspace` colours one vertex through `unlift` and `coset_index`.
-`full_colouring` colours the whole graph with a table-driven kernel that
-gives every vertex the same colour and key without building a `Subspace`
-per vertex.  The coset index is a syndrome, F_q-linear in the non-pivot
-block, so `rankmetric.SyndromeTable` holds each cell's contribution per
-value, once per code.  Within one identifying vector the free cells of
-the RREF basis run over F_q^f in `enumerate_subspaces` order: the keys
-fill the identifying vector's `key_template`, and the colours are
-class * block plus the coset index of the summed cell terms (in the dual
-regime, of the orthogonal complement's RREF rows, one vertex at a time).
-In the complete regime the colour is the running index.
+One table-driven kernel colours both one vertex (`colour_subspace`) and
+the whole graph (`full_colouring`), with no `Subspace` built per vertex.
+The coset index is a syndrome, F_q-linear in the non-pivot block, so
+`rankmetric.SyndromeTable` holds each cell's contribution per value; the
+context builds it once per code.  A vertex's colour is class * block plus
+the coset index of its free cells' summed terms, read from its RREF rows
+(in the dual regime, the orthogonal complement's RREF rows).  The class
+base and the table rows of the free cells are cached per pivot set on the
+context.  `full_colouring` walks one identifying vector at a time: the
+free cells run over F_q^f in `enumerate_subspaces` order, the keys fill
+the identifying vector's `key_template`, and direct-regime colours come
+from all sums of cell terms at once.  In the complete regime the colour is
+the running index.  `rankmetric.unlift` plus `rankmetric.coset_index` is
+the reference the tests compare the kernel against.
 
 `full_colouring` also reports exact integer bounds, and
 (optionally but by default at desk scale) verifies properness before
@@ -55,12 +58,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import getitem
 from typing import Iterable
 
-from .grassmann import (GrassmannParams, Subspace, decode_subspace, dualize,
+from .grassmann import (GrassmannParams, Subspace, decode_subspace,
                         degree_formula, encode_subspace, entry_texts,
                         enumerate_subspaces, enumeration_index, free_cells,
                         key_template, rref_bases, weight_vectors_lex)
@@ -69,8 +72,7 @@ from .johnson import (JohnsonColouring, check_method, colour_clash, gs_fits_desk
 from .matq import (MatrixFq, PackedFp, _complement_of_rref, gaussian_binomial,
                    intersection_dim)
 from .rankmetric import (DISTANCE_SCAN_LIMIT, GabidulinCode, SyndromeTable,
-                         coset_index, gabidulin_build, min_rank_distance,
-                         unlift)
+                         gabidulin_build, min_rank_distance)
 
 DEFAULT_VERTEX_CAP = 100_000
 AUTO_VERIFY_LIMIT = 20_000
@@ -98,6 +100,9 @@ class ColourContext:
     class_of_idvec: dict[tuple[int, ...], int] | None
     coset_block: int
     distance_verified: bool
+    table: SyndromeTable | None = field(repr=False, compare=False)  # the code's, built once
+    # per pivot set: colour base, free cells and their table rows (`_spec`)
+    _specs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def make_context(params: GrassmannParams, johnson_method: str = "greedy") -> ColourContext:
@@ -110,7 +115,7 @@ def make_context(params: GrassmannParams, johnson_method: str = "greedy") -> Col
     check_method(johnson_method)
     regime = regime_of(params)
     if regime == COMPLETE:
-        return ColourContext(params, regime, None, None, None, 1, True)
+        return ColourContext(params, regime, None, None, None, 1, True, None)
     if regime == DUAL:
         return replace(make_context(params.dual(), johnson_method),
                        params=params, regime=DUAL)
@@ -128,25 +133,55 @@ def make_context(params: GrassmannParams, johnson_method: str = "greedy") -> Col
     if distance_verified and min_rank_distance(code) != code.d:
         raise AssertionError("constructed code misses its design distance")
     return ColourContext(params, regime, jc, code, class_of_idvec,
-                         code.num_cosets, distance_verified)
+                         code.num_cosets, distance_verified, SyndromeTable(code))
 
 
-def _direct_colour(ctx: ColourContext, S: Subspace) -> tuple[int, tuple[int, ...], int]:
-    u, A = unlift(S)
-    i = coset_index(ctx.code, A)
-    return ctx.class_of_idvec[u] * ctx.coset_block + i, u, i
+def _spec(ctx: ColourContext, pivots: tuple[int, ...]
+          ) -> tuple[int, list[tuple[int, int]], tuple[tuple[int, ...], ...]]:
+    """(class * block, free cells, their syndrome-table rows) of a pivot set.
+
+    Direct-regime pivots: in the dual regime, those of the complement.
+    Cached on the context; it holds no counts, so colouring single vertices
+    leaves what `full_colouring` reports unchanged.
+    """
+    spec = ctx._specs.get(pivots)
+    if spec is None:
+        u = tuple(1 if j in pivots else 0 for j in range(ctx.params.n))
+        column = {j: k for k, j in enumerate(j for j, b in enumerate(u) if not b)}
+        h, terms = ctx.code.h, ctx.table.terms
+        cells = free_cells(u)
+        spec = ctx._specs[pivots] = (ctx.class_of_idvec[u] * ctx.coset_block, cells,
+                                     tuple(terms[i * h + column[j]] for i, j in cells))
+    return spec
+
+
+def _coset_of(ctx: ColourContext, rows: tuple[tuple[int, ...], ...],
+              pivots: tuple[int, ...]) -> tuple[int, int]:
+    """(class * block, coset index) of the direct-regime vertex with these
+    RREF rows and pivots: the table's index of its cells' summed terms."""
+    base, cells, terms = _spec(ctx, pivots)
+    return base, ctx.table.index(sum(map(getitem, terms, [rows[i][j] for i, j in cells])))
 
 
 def colour_subspace(ctx: ColourContext, S: Subspace) -> int:
-    """Colour id of one vertex; deterministic and context-pure."""
+    """Colour id of one vertex; deterministic and context-pure.
+
+    The colour `full_colouring` gives S, read from the same syndrome table
+    and per-pivot-set cache, with no `Subspace` built and no coset family
+    counted.  In the dual regime the rows are those of S's orthogonal
+    complement, in RREF (`matq._complement_of_rref`).
+    """
     p = ctx.params
     if S.q != p.q or S.n != p.n or S.m != p.m:
         raise ValueError("subspace does not belong to this graph")
     if ctx.regime == COMPLETE:
         return enumeration_index(S)
+    rows, pivots = S.basis.rows, S.pivot_columns()
     if ctx.regime == DUAL:
-        S = dualize(S)
-    return _direct_colour(ctx, S)[0]
+        rows = _complement_of_rref(S.basis.field, rows, pivots)
+        pivots = tuple(row.index(1) for row in rows)
+    base, coset = _coset_of(ctx, rows, pivots)
+    return base + coset
 
 
 @dataclass
@@ -245,49 +280,42 @@ def check_vertex_cap(params: GrassmannParams, vertex_cap: int) -> int:
 
 
 class _CosetColourer:
-    """Direct-regime colours read from the code's syndrome table.
+    """`full_colouring`'s colours and the coset family counts it reports.
 
-    Per pivot tuple it keeps the colour base class * block, the coset
-    family counts and the table row of each free cell, so a vertex's
-    colour is its base plus the coset index of the sum of its cells' terms.
+    Colours come from the context's syndrome table through `_spec`; the
+    counts, per pivot set, are kept here and reported by `families`.
     """
 
     def __init__(self, ctx: ColourContext):
         self.ctx = ctx
-        self.table = SyndromeTable(ctx.code)
-        self.families: dict[str, dict[int, int]] = {}
-        self._specs: dict[tuple[int, ...], tuple] = {}
-
-    def _spec(self, pivots: tuple[int, ...]):
-        spec = self._specs.get(pivots)
-        if spec is None:
-            ctx = self.ctx
-            u = tuple(1 if j in pivots else 0 for j in range(ctx.params.n))
-            column = {j: k for k, j in enumerate(j for j, b in enumerate(u) if not b)}
-            h = ctx.code.h
-            cells = [(i, j, self.table.terms[i * h + column[j]]) for i, j in free_cells(u)]
-            family = self.families.setdefault("".join(str(b) for b in u), {})
-            spec = self._specs[pivots] = (ctx.class_of_idvec[u] * ctx.coset_block,
-                                          family, cells)
-        return spec
+        self.counts: dict[tuple[int, ...], dict[int, int]] = {}
 
     def block(self, idvec: tuple[int, ...]) -> list[int]:
         """Colours of all vertices with this identifying vector, in `rref_bases` order."""
-        base, family, cells = self._spec(tuple(j for j, b in enumerate(idvec) if b))
+        pivots = tuple(j for j, b in enumerate(idvec) if b)
+        base, _, terms = _spec(self.ctx, pivots)
         totals = [0]
-        for _, _, terms in reversed(cells):  # the first cell varies slowest
-            totals = [a + b for a in terms for b in totals]
-        cosets = self.table.indices(totals)
+        for row in reversed(terms):  # the first cell varies slowest
+            totals = [a + b for a in row for b in totals]
+        cosets = self.ctx.table.indices(totals)
+        family = self.counts.setdefault(pivots, {})
         for c in cosets:
             family[c] = family.get(c, 0) + 1
         return [base + c for c in cosets]
 
     def colour(self, rows: tuple[tuple[int, ...], ...]) -> int:
         """Colour of the vertex with this RREF basis."""
-        base, family, cells = self._spec(tuple(row.index(1) for row in rows))
-        c = self.table.index(sum(terms[rows[i][j]] for i, j, terms in cells))
+        pivots = tuple(row.index(1) for row in rows)
+        base, c = _coset_of(self.ctx, rows, pivots)
+        family = self.counts.setdefault(pivots, {})
         family[c] = family.get(c, 0) + 1
         return base + c
+
+    def families(self) -> dict[str, dict[int, int]]:
+        """Coset family sizes keyed by identifying vector, as `0`/`1` text."""
+        n = self.ctx.params.n
+        return {"".join("1" if j in pivots else "0" for j in range(n)): family
+                for pivots, family in self.counts.items()}
 
 
 def full_colouring(ctx: ColourContext, verify: bool | None = None,
@@ -297,9 +325,10 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
     Vertices are walked one identifying vector at a time, in
     `enumerate_subspaces` order.  Keys fill the identifying vector's
     `key_template`; colours come from `_CosetColourer` (direct: all at once
-    from the syndrome table; dual: per vertex, from the RREF rows of the
-    orthogonal complement) or are the running index (complete).  RREF rows
-    are built only for the dual regime and for verification.
+    from the context's syndrome table; dual: per vertex, from the RREF rows
+    of the orthogonal complement, as in `colour_subspace`) or are the
+    running index (complete).  RREF rows are built only for the dual regime
+    and for verification.
     """
     params = ctx.params
     total = check_vertex_cap(params, vertex_cap)
@@ -359,7 +388,7 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
         palette_used=palette_used,
         bounds={k: bounds[k] for k in ("lower", "theorem_upper", "trivial_upper")},
         proper=proper, pairs_checked=pairs_checked,
-        family_sizes=colourer.families if colourer else {})
+        family_sizes=colourer.families() if colourer else {})
 
 
 class _Fingerprints:

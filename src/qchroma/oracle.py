@@ -14,6 +14,7 @@ to cross-check, which is the point.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -144,24 +145,21 @@ def max_clique(g: DenseGraph, budget: int = DEFAULT_BUDGET) -> CliqueResult:
     if n == 0:
         return CliqueResult(0, (), True, 0)
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    pos = {v: i for i, v in enumerate(order)}
-    adj = [0] * n
-    for i, v in enumerate(order):
-        mask = g.adj[v]
-        while mask:
-            u = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            adj[i] |= 1 << pos[u]
+    # relabel vertex order[k] as k: bit k of a new row is bit order[k] of
+    # the old one, permuted as text so no Python loop runs per edge
+    pick = operator.itemgetter(*order)
+    adj = [int("".join(pick(format(g.adj[v], f"0{n}b")[::-1]))[::-1], 2)
+           for v in order]
+    full = (1 << n) - 1
+    # the vertices other than i and its neighbours; kept positive, as
+    # CPython's bitwise operations copy a negative int to two's complement
+    keep = [full ^ (a | 1 << i) for i, a in enumerate(adj)]
     best: list[int] = []
-    stack: list[int] = []
+    clique: list[int] = []  # the vertex each open frame but the top branched on
     bud = _Budget(budget)
-    truncated = False
 
-    def expand(candidates: int) -> None:
-        nonlocal best, truncated
-        if truncated or not bud.spend():
-            truncated = True
-            return
+    def frame(candidates: int) -> list:
+        """[candidates, vertices in branch order, their bounds, next index]."""
         # greedy colour classes give per-vertex bounds
         seq: list[int] = []
         bound: list[int] = []
@@ -171,26 +169,46 @@ def max_clique(g: DenseGraph, budget: int = DEFAULT_BUDGET) -> CliqueResult:
             colour += 1
             avail = rest
             while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= avail - 1  # drop v
-                avail &= ~adj[v]    # and its neighbours, for this colour class
-                rest &= ~(1 << v)
+                v = (avail ^ (avail - 1)).bit_length() - 1  # the lowest vertex
+                avail &= keep[v]  # v and its neighbours leave this colour class
+                rest ^= 1 << v
                 seq.append(v)
                 bound.append(colour)
-        for i in range(len(seq) - 1, -1, -1):
-            if len(stack) + bound[i] <= len(best):
-                return
-            v = seq[i]
-            stack.append(v)
-            sub = candidates & adj[v]
-            if sub:
-                expand(sub)
-            elif len(stack) > len(best):
-                best = stack[:]
-            stack.pop()
-            candidates &= ~(1 << v)
+        return [candidates, seq, bound, len(seq) - 1]
 
-    expand((1 << n) - 1)
+    def advance(f: list) -> None:
+        """Leave the branch on f's current vertex and drop it from f's candidates."""
+        clique.pop()
+        f[0] &= ~(1 << f[1][f[3]])
+        f[3] -= 1
+
+    # Depth-first branch and bound with an explicit stack, one frame per
+    # expanded node, so clique size does not use the Python stack.  A node
+    # ends when its vertices run out or its bound cannot beat the best
+    # clique; its parent then moves to its next vertex.  Once the budget
+    # runs out no node is expanded, but open frames still finish.
+    truncated = not bud.spend()
+    frames = [] if truncated else [frame(full)]
+    while frames:
+        top = frames[-1]
+        candidates, seq, bound, i = top
+        if i < 0 or len(clique) + bound[i] <= len(best):
+            frames.pop()
+            if frames:
+                advance(frames[-1])
+            continue
+        v = seq[i]
+        clique.append(v)
+        sub = candidates & adj[v]
+        if sub:
+            if not truncated and bud.spend():
+                frames.append(frame(sub))
+                continue
+            truncated = True
+        elif len(clique) > len(best):
+            best = clique[:]
+        advance(top)
+
     witness = tuple(sorted(order[i] for i in best))
     return CliqueResult(len(best), witness, not truncated, budget - max(bud.left, 0))
 

@@ -6,6 +6,7 @@ show only in the minute-long perfbench self-tests; here it fails in
 about 0.1 s.
 """
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -60,3 +61,22 @@ def test_tracer_times_the_certificate_writer_once_per_colour_job(tmp_path):
     assert calls["colouring.full_colouring"] == 1
     assert calls["colouring.certificate_to_json"] == 1
     assert colouring.certificate_from_json(out.read_text()).params == GrassmannParams(2, 5, 2, 1)
+
+
+def test_tracer_sees_point_queries_skip_the_lifting_route():
+    # the benchmark's point-query job: on a dual context each query is one
+    # colour_subspace span, with no unlift, coset_index or dualize under it
+    ctx = colouring.make_context(GrassmannParams(2, 7, 4, 2))
+    verts = list(itertools.islice(grassmann.enumerate_subspaces(2, 7, 4), 0, None, 37))
+    tracer = _tracer()
+    tracer.install()
+    try:
+        for S in verts:
+            colouring.colour_subspace(ctx, S)
+        calls = {name: s["calls"] for name, s in tracer.snapshot().items()}
+    finally:
+        tracer.uninstall()
+    assert calls["colouring.colour_subspace"] == len(verts) > 300
+    assert calls["rankmetric.coset_index"] == 0
+    assert calls["rankmetric.unlift"] == 0
+    assert calls["grassmann.dualize"] == 0

@@ -296,42 +296,105 @@ def test_unverified_certificate_roundtrips_and_can_be_checked_later():
 @pytest.mark.parametrize("p", [(2, 6, 3, 2), (4, 5, 2, 1), (9, 4, 2, 1),
                                (2, 5, 3, 2), (3, 6, 4, 3), (2, 5, 3, 1)])
 def test_kernel_matches_per_vertex_reference(p):
-    # the table-driven kernel gives every vertex the key and colour of the
-    # per-vertex route, and the same coset families
+    # the certificate and `colour_subspace` both give every vertex the colour
+    # of the lifting reference, class * block + `coset_index` of the unlifted
+    # block (in the dual regime, of the dual), and the same coset families;
+    # in the complete regime the colour is the enumeration index
     ctx = col.make_context(GrassmannParams(*p))
     cert = col.full_colouring(ctx, verify=False)
     want = {}
+    point = {}
     families = {}
-    for S in enumerate_subspaces(*p[:3]):
-        want[encode_subspace(S)] = col.colour_subspace(ctx, S)
-        if ctx.regime != "complete":
-            u, A = rankmetric.unlift(dualize(S) if ctx.regime == "dual" else S)
-            fam = families.setdefault("".join(map(str, u)), {})
-            i = rankmetric.coset_index(ctx.code, A)
-            fam[i] = fam.get(i, 0) + 1
+    for index, S in enumerate(enumerate_subspaces(*p[:3])):
+        key = encode_subspace(S)
+        point[key] = col.colour_subspace(ctx, S)
+        if ctx.regime == "complete":
+            want[key] = index
+            continue
+        u, A = rankmetric.unlift(dualize(S) if ctx.regime == "dual" else S)
+        i = rankmetric.coset_index(ctx.code, A)
+        want[key] = ctx.class_of_idvec[u] * ctx.coset_block + i
+        fam = families.setdefault("".join(map(str, u)), {})
+        fam[i] = fam.get(i, 0) + 1
     assert len(cert.colours) == len(want) == gaussian_binomial(p[1], p[2], p[0])
     assert cert.colour_map() == want
+    assert point == want
     assert cert.family_sizes == families
 
 
-@pytest.mark.parametrize("p", [(2, 6, 3, 2), (2, 5, 3, 2), (2, 5, 3, 1)])
-def test_unverified_colouring_builds_no_subspace_and_no_coset_index(p, monkeypatch):
-    counts = {"Subspace": 0, "coset_index": 0}
+def _counting_subspaces_and_reductions(monkeypatch) -> dict[str, int]:
+    """Count `Subspace` constructions and `GabidulinCode._reduce` calls from now on."""
+    counts = {"Subspace": 0, "_reduce": 0}
     init = grassmann.Subspace.__init__
+    reduce = rankmetric.GabidulinCode._reduce
 
     def counted_init(self, basis):
         counts["Subspace"] += 1
         init(self, basis)
 
-    def counted_coset_index(code, A):
-        counts["coset_index"] += 1
-        return rankmetric.coset_index(code, A)
-    ctx = col.make_context(GrassmannParams(*p))
+    def counted_reduce(self, vec):
+        counts["_reduce"] += 1
+        return reduce(self, vec)
     monkeypatch.setattr(grassmann.Subspace, "__init__", counted_init)
-    monkeypatch.setattr(col, "coset_index", counted_coset_index)
+    monkeypatch.setattr(rankmetric.GabidulinCode, "_reduce", counted_reduce)
+    return counts
+
+
+@pytest.mark.parametrize("p", [(2, 6, 3, 2), (2, 5, 3, 2), (2, 5, 3, 1)])
+def test_unverified_colouring_builds_no_subspace_and_no_coset_index(p, monkeypatch):
+    # `_reduce` is the elimination behind every coset index; after the
+    # context has built its syndrome table, colouring runs none
+    ctx = col.make_context(GrassmannParams(*p))
+    counts = _counting_subspaces_and_reductions(monkeypatch)
     cert = col.full_colouring(ctx, verify=False)
     assert len(cert.colours) == gaussian_binomial(p[1], p[2], p[0])
-    assert counts == {"Subspace": 0, "coset_index": 0}
+    assert counts == {"Subspace": 0, "_reduce": 0}
+
+
+def _random_vertices(params: GrassmannParams, count: int, rng: random.Random) -> list:
+    """`count` random m-subspaces: a random pivot set and random free cells."""
+    field, n, m = params.field, params.n, params.m
+    verts = []
+    for _ in range(count):
+        pivots = sorted(rng.sample(range(n), m))
+        rows = [[0] * n for _ in range(m)]
+        for i, c in enumerate(pivots):
+            rows[i][c] = 1
+            for j in range(c + 1, n):
+                if j not in pivots:
+                    rows[i][j] = rng.randrange(params.q)
+        verts.append(grassmann.Subspace(MatrixFq(field, tuple(map(tuple, rows)))))
+    return verts
+
+
+@pytest.mark.parametrize("p", [(9, 6, 2, 1), (2, 7, 4, 2)])
+def test_point_queries_build_no_subspace_and_no_coset_index(p, monkeypatch):
+    # direct over F_9 and dual over F_2: the point query reads the context's
+    # syndrome table, from the basis rows or their complement's RREF rows
+    params = GrassmannParams(*p)
+    ctx = col.make_context(params)
+    verts = _random_vertices(params, 500, random.Random(sum(p)))
+    counts = _counting_subspaces_and_reductions(monkeypatch)
+    colours = [col.colour_subspace(ctx, S) for S in verts]
+    assert counts == {"Subspace": 0, "_reduce": 0}
+    monkeypatch.undo()
+    for S, c in zip(verts, colours):
+        u, A = rankmetric.unlift(dualize(S) if ctx.regime == "dual" else S)
+        assert c == ctx.class_of_idvec[u] * ctx.coset_block + rankmetric.coset_index(ctx.code, A)
+
+
+@pytest.mark.parametrize("p", [(2, 6, 3, 2), (2, 5, 3, 2)])
+def test_point_queries_leave_the_certificate_unchanged(p):
+    # colouring every vertex one at a time first changes neither the
+    # coset family counts nor any byte of the certificate
+    params = GrassmannParams(*p)
+    ctx = col.make_context(params)
+    for S in enumerate_subspaces(*p[:3]):
+        col.colour_subspace(ctx, S)
+    after = col.full_colouring(ctx, verify=False)
+    fresh = col.full_colouring(col.make_context(params), verify=False)
+    assert after.family_sizes == fresh.family_sizes
+    assert col.certificate_to_json(after) == col.certificate_to_json(fresh)
 
 
 def test_colour_zero_fibre_is_the_base_coset_family():

@@ -177,3 +177,16 @@ def test_decision_search_depth_is_not_bounded_by_the_python_stack():
     assert time.perf_counter() - start < 1.0
     assert ch.value == 3
     _assert_exact_witness(g, ch)
+
+
+def test_clique_search_depth_is_not_bounded_by_the_python_stack():
+    # the complete graph on 1 500 vertices, below the oracle's cap: the
+    # search descends one frame per clique vertex
+    n = 1500
+    full = (1 << n) - 1
+    g = DenseGraph(tuple(map(str, range(n))), tuple(full ^ 1 << i for i in range(n)))
+    start = time.perf_counter()
+    res = max_clique(g)
+    assert time.perf_counter() - start < 1.0
+    assert (res.size, res.exact) == (n, True)
+    assert res.witness == tuple(range(n))
