@@ -28,9 +28,16 @@ base and the table rows of the free cells are cached per pivot set on the
 context.  `full_colouring` walks one identifying vector at a time: the
 free cells run over F_q^f in `enumerate_subspaces` order, the keys fill
 the identifying vector's `key_template`, and direct-regime colours come
-from all sums of cell terms at once.  In the complete regime the colour is
-the running index.  `rankmetric.unlift` plus `rankmetric.coset_index` is
-the reference the tests compare the kernel against.
+from all sums of cell terms at once.  In the dual regime the complement's
+rows are the unit rows of the identifying vector's
+`matq._complement_scaffold` with each free cell's value scattered in,
+negated; `matq._eliminate` brings them to RREF from per-field tables.
+`full_colouring` builds the scaffold once per identifying vector and copies
+it per vertex; `colour_subspace` builds it per query, through
+`matq._complement_of_rref`.
+In the complete regime the colour is the running index.
+`rankmetric.unlift` plus `rankmetric.coset_index` is the reference the
+tests compare the kernel against.
 
 `full_colouring` also reports exact integer bounds, and
 (optionally but by default at desk scale) verifies properness before
@@ -69,7 +76,8 @@ from .grassmann import (GrassmannParams, Subspace, decode_subspace,
                         key_template, rref_bases, weight_vectors_lex)
 from .johnson import (JohnsonColouring, check_method, colour_clash, gs_fits_desk,
                       johnson_bounds, johnson_colouring)
-from .matq import (MatrixFq, PackedFp, _complement_of_rref, gaussian_binomial,
+from .matq import (MatrixFq, PackedFp, _arithmetic, _complement_of_rref,
+                   _complement_scaffold, _eliminate, gaussian_binomial,
                    intersection_dim)
 from .rankmetric import (DISTANCE_SCAN_LIMIT, GabidulinCode, SyndromeTable,
                          gabidulin_build, min_rank_distance)
@@ -178,8 +186,7 @@ def colour_subspace(ctx: ColourContext, S: Subspace) -> int:
         return enumeration_index(S)
     rows, pivots = S.basis.rows, S.pivot_columns()
     if ctx.regime == DUAL:
-        rows = _complement_of_rref(S.basis.field, rows, pivots)
-        pivots = tuple(row.index(1) for row in rows)
+        rows, pivots = _complement_of_rref(S.basis.field, rows, pivots)
     base, coset = _coset_of(ctx, rows, pivots)
     return base + coset
 
@@ -303,13 +310,33 @@ class _CosetColourer:
             family[c] = family.get(c, 0) + 1
         return [base + c for c in cosets]
 
-    def colour(self, rows: tuple[tuple[int, ...], ...]) -> int:
-        """Colour of the vertex with this RREF basis."""
-        pivots = tuple(row.index(1) for row in rows)
+    def colour(self, rows: list[list[int]], pivots: tuple[int, ...]) -> int:
+        """Colour of the vertex with these RREF rows and pivots."""
         base, c = _coset_of(self.ctx, rows, pivots)
         family = self.counts.setdefault(pivots, {})
         family[c] = family.get(c, 0) + 1
         return base + c
+
+    def dual_block(self, idvec: tuple[int, ...]) -> list[int]:
+        """Colours of all vertices with this identifying vector, in `rref_bases`
+        order, from the RREF rows of their orthogonal complements.
+
+        The free-cell values, negated, fill a copy of the identifying
+        vector's `matq._complement_scaffold`, which `matq._eliminate` brings
+        to RREF in place.
+        """
+        field = self.ctx.params.field
+        neg = _arithmetic(field)[0]
+        units, places = _complement_scaffold(len(idvec), [j for j, b in enumerate(idvec) if b])
+        places = [(k, c) for _, _, k, c in places]
+        block = []
+        for values in itertools.product([neg[v] for v in range(field.order)],
+                                        repeat=len(places)):
+            rows = [row[:] for row in units]
+            for (k, c), v in zip(places, values):
+                rows[k][c] = v
+            block.append(self.colour(rows, tuple(_eliminate(field, rows, reduced=True))))
+        return block
 
     def families(self) -> dict[str, dict[int, int]]:
         """Coset family sizes keyed by identifying vector, as `0`/`1` text."""
@@ -326,9 +353,9 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
     `enumerate_subspaces` order.  Keys fill the identifying vector's
     `key_template`; colours come from `_CosetColourer` (direct: all at once
     from the context's syndrome table; dual: per vertex, from the RREF rows
-    of the orthogonal complement, as in `colour_subspace`) or are the
-    running index (complete).  RREF rows are built only for the dual regime
-    and for verification.
+    of the orthogonal complement, filled into the identifying vector's
+    complement scaffold) or are the running index (complete).  The
+    vertices' own RREF rows are built only for verification.
     """
     params = ctx.params
     total = check_vertex_cap(params, vertex_cap)
@@ -345,20 +372,16 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
         template = key_template(field, idvec)
         keys = [template.format(*values) for values in
                 itertools.product(texts, repeat=len(free_cells(idvec)))]
-        rows = (list(rref_bases(params.q, idvec))
-                if verify or ctx.regime == DUAL else None)
         if ctx.regime == COMPLETE:
             block = range(len(colours), len(colours) + len(keys))
         elif ctx.regime == DIRECT:
             block = colourer.block(idvec)
         else:
-            pivots = [j for j, b in enumerate(idvec) if b]
-            block = [colourer.colour(_complement_of_rref(field, r, pivots))
-                     for r in rows]
+            block = colourer.dual_block(idvec)
         entries.extend(zip(keys, block))
         colours.extend(block)
         if verify:
-            bases.extend(rows)
+            bases.extend(rref_bases(params.q, idvec))
 
     proper: bool | None = None
     pairs_checked = 0

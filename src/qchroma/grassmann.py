@@ -211,7 +211,7 @@ def dualize(S: Subspace) -> Subspace:
     """Orthogonal dual under the standard dot product, canonicalized."""
     basis = S.basis
     return Subspace(MatrixFq(basis.field, _complement_of_rref(
-        basis.field, basis.rows, S.pivot_columns())))
+        basis.field, basis.rows, S.pivot_columns())[0]))
 
 
 # -- canonical text encoding --------------------------------------------------

@@ -32,10 +32,10 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from .ff import (DESK_ORDER_LIMIT, discrete_log, field_make, is_prime,
                  primitive_element)
-from .oracle import dsatur
+from .oracle import dsatur, shared_fingerprint_masks
 
-# greedy builds O(C(n, m)^2) adjacency: 0.6 s at C(12, 6) = 924 subsets on a
-# 2-vCPU Xeon, so the cap keeps a refusal, not a hang, above that size
+# greedy's saturation search takes O(C(n, m)^2) steps: 0.5 s at C(12, 6) = 924
+# subsets on a 2-vCPU Xeon, so the cap keeps a refusal, not a hang, above that size
 GREEDY_SUBSET_CAP = 1_000
 
 
@@ -190,15 +190,9 @@ def johnson_colouring(method: str, n: int, m: int, t: int) -> JohnsonColouring:
 
 
 def _adjacency_masks(verts: list[tuple[int, ...]], t: int) -> list[int]:
-    vsets = [frozenset(v) for v in verts]
-    nv = len(verts)
-    adj = [0] * nv
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if len(vsets[i] & vsets[j]) >= t:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+    """Adjacency rows of J(n, m, t) on these m-subsets: two share at least t
+    elements exactly when they have a common t-subset, as in `is_proper`."""
+    return shared_fingerprint_masks([list(itertools.combinations(v, t)) for v in verts])
 
 
 def johnson_bounds(n: int, m: int, t: int) -> tuple[int, int]:

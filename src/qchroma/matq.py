@@ -3,8 +3,10 @@
 A matrix is an immutable grid of element indices of one owning field (see
 ff.py for the index convention).  Reduced row-echelon form is the workhorse:
 subspace identity, rank, intersection dimension and orthogonal complements
-all reduce to it.  Counts are plain Python integers, so Gaussian binomials
-never overflow.
+all reduce to it, through one elimination routine, `_eliminate`.  It reads
+per-field tables of negation, division, product and difference
+(`_arithmetic`), built once per field while they fit `ff._TABLE_LIMIT`.
+Counts are plain Python integers, so Gaussian binomials never overflow.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import functools
 from typing import Iterator, Sequence
 
-from .ff import FieldSpec
+from .ff import _TABLE_LIMIT, FieldSpec
 
 
 class MatrixFq:
@@ -71,12 +73,49 @@ class MatrixFq:
         return f"MatrixFq(q={self.field.order}, {self.nrows}x{self.ncols}: {body})"
 
 
+class _PerEntry:
+    """`table[a]` as `op(a)`: a lookup table that calls the field per entry."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        self.op = op
+
+    def __getitem__(self, a):
+        return self.op(a)
+
+
+@functools.lru_cache(maxsize=None)
+def _arithmetic(field: FieldSpec) -> tuple:
+    """(neg, div, mul, sub) of a field: neg[a] = -a, div[a][b] = b / a,
+    mul[a][b] = a·b and sub[a][b] = a - b, on element indices.
+
+    Lists, built once per field, while the q² entries of a table fit
+    `ff._TABLE_LIMIT`; above it every entry read is one `FieldSpec` call, as
+    `FieldSpec.mul` falls back from its log tables.
+    """
+    q = field.order
+    if q * q > _TABLE_LIMIT:
+        def rows(op):
+            return _PerEntry(lambda a: _PerEntry(functools.partial(op, a)))
+        return (_PerEntry(field.neg),
+                _PerEntry(lambda a: _PerEntry(functools.partial(field.mul, field.inv(a)))),
+                rows(field.mul), rows(field.sub))
+    elements = range(q)
+    mul = [[field.mul(a, b) for b in elements] for a in elements]
+    return ([field.neg(a) for a in elements],
+            [None] + [mul[field.inv(a)] for a in range(1, q)], mul,
+            [[field.sub(a, b) for b in elements] for a in elements])
+
+
 def _eliminate(field: FieldSpec, rows: list[list[int]], reduced: bool) -> list[int]:
     """In-place Gaussian elimination; returns pivot columns.
 
     With reduced=True the result is the full RREF (pivots normalized to 1,
     zeros above and below); otherwise only a row-echelon rank skeleton.
+    Entries are read from the field's `_arithmetic` tables.
     """
+    _, div, mul, sub = _arithmetic(field)
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -96,8 +135,8 @@ def _eliminate(field: FieldSpec, rows: list[list[int]], reduced: bool) -> list[i
         if reduced:
             lead = rows[r][c]
             if lead != 1:
-                inv = field.inv(lead)
-                rows[r] = [field.mul(inv, v) for v in rows[r]]
+                scale = div[lead]
+                rows[r] = [scale[v] for v in rows[r]]
             span = range(nrows)
         else:
             span = range(r + 1, nrows)
@@ -110,12 +149,23 @@ def _eliminate(field: FieldSpec, rows: list[list[int]], reduced: bool) -> list[i
                 continue
             if not reduced:
                 # echelon pass may have a non-unit pivot
-                f = field.mul(f, field.inv(pivot_row[c]))
-            row = rows[i]
-            rows[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(row, pivot_row)]
+                f = div[pivot_row[c]][f]
+            times = mul[f]
+            rows[i] = [sub[v][times[w]] for v, w in zip(rows[i], pivot_row)]
         pivots.append(c)
         r += 1
     return pivots
+
+
+def matmul(A: MatrixFq, B: MatrixFq) -> MatrixFq:
+    """The product A·B, one `FieldSpec` product and sum per term."""
+    field = A.field
+    if B.field != field or A.ncols != B.nrows:
+        raise ValueError("product needs matching field and inner dimension")
+    columns = list(zip(*B.rows))
+    return MatrixFq(field, tuple(
+        tuple(functools.reduce(field.add, map(field.mul, row, col), 0) for col in columns)
+        for row in A.rows))
 
 
 def rref(M: MatrixFq) -> tuple[MatrixFq, tuple[int, ...]]:
@@ -164,30 +214,46 @@ def orthogonal_complement(U: MatrixFq) -> MatrixFq:
     R, pivots = rref(U)
     if len(pivots) != U.nrows:
         raise ValueError("rank-deficient input")
-    return MatrixFq(U.field, _complement_of_rref(U.field, R.rows, pivots))
+    return MatrixFq(U.field, _complement_of_rref(U.field, R.rows, pivots)[0])
+
+
+def _complement_scaffold(n: int, pivots: Sequence[int]
+                         ) -> tuple[list[list[int]], list[tuple[int, int, int, int]]]:
+    """(unit rows, places) of the dual of the RREF bases with these pivots.
+
+    For an RREF basis B of F_q^n with pivot i in column pivots[i], the dual
+    of its row space has one spanning row per non-pivot f: 1 in column f
+    and -B[i][f] in column pivots[i].  The unit rows are those rows with
+    every B entry 0.  A place (i, j, k, c) says that B's free cell (i, j)
+    lands, negated, in row k and column c of the unit rows; the places are
+    in `grassmann.free_cells` order (row-major over B).
+    """
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    units = [[0] * n for _ in free]
+    for row, f in zip(units, free):
+        row[f] = 1
+    rows_of = list(enumerate(free))
+    return units, [(i, j, k, c) for i, c in enumerate(pivots) for k, j in rows_of if j > c]
 
 
 def _complement_of_rref(field: FieldSpec, rows: Sequence[Sequence[int]],
-                        pivots: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """RREF rows of the dual of a full-rank RREF basis with these pivots.
+                        pivots: Sequence[int]
+                        ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """RREF rows and pivots of the dual of a full-rank RREF basis with these pivots.
 
-    For a basis already in RREF (a `Subspace` basis, or the rows of one
-    identifying vector), this skips the elimination `orthogonal_complement`
-    runs on its input.
+    The basis's free-cell entries, negated, fill its `_complement_scaffold`,
+    which `_eliminate` brings to RREF.  For a basis already in RREF (a
+    `Subspace` basis, or the rows of one identifying vector), this skips the
+    elimination `orthogonal_complement` runs on its input.
     """
-    n = len(rows[0]) if rows else 0
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    out = []
-    for f in free:
-        w = [0] * n
-        w[f] = 1
-        for i, pc in enumerate(pivots):
-            w[pc] = field.neg(rows[i][f])
-        out.append(w)
-    pivots2 = _eliminate(field, out, reduced=True)
-    assert len(pivots2) == len(free)
-    return tuple(tuple(r) for r in out)
+    units, places = _complement_scaffold(len(rows[0]) if rows else 0, pivots)
+    neg = _arithmetic(field)[0]
+    for i, j, k, c in places:
+        units[k][c] = neg[rows[i][j]]
+    dual_pivots = _eliminate(field, units, reduced=True)
+    assert len(dual_pivots) == len(units)
+    return tuple(tuple(r) for r in units), tuple(dual_pivots)
 
 
 _FOLD_BITS = 12  # a fold table reads this many bits of a slot sum at a time

@@ -16,10 +16,11 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
-from .grassmann import (GrassmannParams, Subspace, adjacent,
-                        encode_subspace, enumerate_subspaces)
+from .grassmann import (GrassmannParams, Subspace, encode_subspace,
+                        enumerate_subspaces)
+from .matq import matmul, rref
 
 DEFAULT_VERTEX_CAP = 5000
 DEFAULT_BUDGET = 5_000_000
@@ -41,12 +42,11 @@ class DenseGraph:
                 raise ValueError("adjacency bits beyond the vertex range")
             if row & (1 << i):
                 raise ValueError(f"loop at vertex {i}")
-            mask = row
-            while mask:
-                j = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                if not self.adj[j] & (1 << i):
-                    raise ValueError("adjacency is not symmetric")
+        # the matrix as text, character j of row i being bit j of adj[i], is
+        # compared with its transpose, so no Python step runs per bit
+        rows = [format(row, f"0{n}b")[::-1] for row in self.adj]
+        if list(map("".join, zip(*rows))) != rows:
+            raise ValueError("adjacency is not symmetric")
 
     @property
     def num_vertices(self) -> int:
@@ -72,15 +72,43 @@ def dense_graph(labels: Sequence[str], pred: Callable[[int, int], bool]) -> Dens
     return DenseGraph(tuple(labels), tuple(adj))
 
 
+def shared_fingerprint_masks(fingerprints: Sequence[Sequence[Hashable]]) -> list[int]:
+    """Adjacency rows of the graph joining two vertices that share a fingerprint.
+
+    Vertex i has fingerprints[i]; each fingerprint's row is the OR of the
+    bits of the vertices that hold it, and a vertex's row is the OR of its
+    fingerprints' rows without its own bit.  No vertex pair is walked.
+    """
+    holders: dict[Hashable, int] = {}
+    for i, prints in enumerate(fingerprints):
+        bit = 1 << i
+        for f in prints:
+            holders[f] = holders.get(f, 0) | bit
+    adj = []
+    for i, prints in enumerate(fingerprints):
+        row = 0
+        for f in prints:
+            row |= holders[f]
+        adj.append(row & ~(1 << i))
+    return adj
+
+
 def build_graph(params: GrassmannParams, cap: int = DEFAULT_VERTEX_CAP) -> DenseGraph:
-    """Materialize J_q(n, m, t) with vertices in canonical order."""
+    """Materialize J_q(n, m, t) with vertices in canonical order.
+
+    Two m-subspaces meet in dimension >= t exactly when they share a
+    t-subspace.  The t-subspaces of a vertex with basis B are the row spaces
+    of C·B, for C the bases of the t-subspaces of F_q^m; each is taken to
+    its RREF by `rref`, and vertices sharing one are joined.
+    """
     count = params.vertex_count()
     if count > cap:
         raise ValueError(f"vertex count {count} exceeds the cap {cap}")
     verts: list[Subspace] = list(enumerate_subspaces(params.q, params.n, params.m))
     labels = [encode_subspace(S) for S in verts]
-    t = params.t
-    return dense_graph(labels, lambda i, j: adjacent(verts[i], verts[j], t))
+    combos = [C.basis for C in enumerate_subspaces(params.q, params.m, params.t)]
+    prints = [[rref(matmul(C, S.basis))[0].rows for C in combos] for S in verts]
+    return DenseGraph(tuple(labels), tuple(shared_fingerprint_masks(prints)))
 
 
 def johnson_graph(n: int, m: int, t: int) -> DenseGraph:

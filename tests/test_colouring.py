@@ -294,7 +294,7 @@ def test_unverified_certificate_roundtrips_and_can_be_checked_later():
 
 
 @pytest.mark.parametrize("p", [(2, 6, 3, 2), (4, 5, 2, 1), (9, 4, 2, 1),
-                               (2, 5, 3, 2), (3, 6, 4, 3), (2, 5, 3, 1)])
+                               (2, 5, 3, 2), (3, 6, 4, 3), (2, 5, 3, 1), (4, 5, 3, 2)])
 def test_kernel_matches_per_vertex_reference(p):
     # the certificate and `colour_subspace` both give every vertex the colour
     # of the lifting reference, class * block + `coset_index` of the unlifted

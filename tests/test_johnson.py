@@ -7,9 +7,9 @@ import pytest
 
 import naive
 from qchroma import oracle
-from qchroma.johnson import (bose_chowla, colour_clash, greedy_colouring,
-                             gs_colouring, is_proper, johnson_bounds, smallest_prime_geq,
-                             subsets_lex)
+from qchroma.johnson import (_adjacency_masks, bose_chowla, colour_clash,
+                             greedy_colouring, gs_colouring, is_proper, johnson_bounds,
+                             smallest_prime_geq, subsets_lex)
 
 
 def test_smallest_prime_geq():
@@ -95,6 +95,15 @@ def test_greedy_matches_oracle_exact_values():
 def test_both_methods_proper(n, m, t):
     assert is_proper(greedy_colouring(n, m, t))
     assert is_proper(gs_colouring(n, m, t))
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (5, 3), (6, 3), (7, 4), (8, 4)])
+def test_adjacency_masks_match_pairwise_intersections(n, m):
+    # one mask per shared t-subset, against `oracle.johnson_graph`'s walk
+    # over all pairs of subsets
+    verts = subsets_lex(n, m)
+    for t in range(1, m):
+        assert _adjacency_masks(verts, t) == list(oracle.johnson_graph(n, m, t).adj)
 
 
 def test_johnson_bounds():

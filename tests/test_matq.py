@@ -37,7 +37,8 @@ def test_rref_pivot_positions_example():
 
 def test_rref_idempotent_and_rowspace_preserving():
     rng = random.Random(20)
-    for q in (2, 3, 4, 5):
+    # 256 and 257 lie either side of the elimination tables' size limit
+    for q in (2, 3, 4, 5, 8, 9, 256, 257):
         for _ in range(40):
             M = _random_matrix(rng, q, rng.randint(1, 4), rng.randint(1, 5))
             R, piv = rref(M)
@@ -47,7 +48,7 @@ def test_rref_idempotent_and_rowspace_preserving():
 
 def test_rank_against_span_size_oracle():
     rng = random.Random(7)
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 8, 9):
         for _ in range(25):
             rows = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(3)]
             F = field_for_order(q)
@@ -96,7 +97,7 @@ def test_orthogonal_complement_examples():
 
 def test_orthogonal_complement_against_oracle():
     rng = random.Random(5)
-    for q, n in ((2, 4), (3, 3)):
+    for q, n in ((2, 4), (3, 3), (8, 3), (9, 3)):
         for _ in range(15):
             M = _random_matrix(rng, q, 2, n)
             if rank(M) != 2:
@@ -109,7 +110,7 @@ def test_orthogonal_complement_against_oracle():
 
 
 def test_duality_dimension_and_involution():
-    for q, n in ((2, 4), (3, 4)):
+    for q, n in ((2, 4), (3, 4), (256, 4), (257, 4)):
         F = field_for_order(q)
         rng = random.Random(n * q)
         for _ in range(20):

@@ -4,7 +4,8 @@ import time
 import pytest
 
 from qchroma import oracle
-from qchroma.grassmann import GrassmannParams
+from qchroma.grassmann import (GrassmannParams, adjacent, encode_subspace,
+                               enumerate_subspaces)
 from qchroma.oracle import (DenseGraph, build_graph, dense_graph, dsatur,
                             exact_chromatic, johnson_graph, max_clique,
                             write_dimacs)
@@ -22,6 +23,20 @@ def test_dense_graph_validation():
         DenseGraph(("a",), (0b1,))             # loop
     g = _cycle(5)
     assert g.num_edges == 5 and all(g.degree(i) == 2 for i in range(5))
+
+
+def test_dense_graph_refusals():
+    # each refusal keeps its message: bits past the last vertex, a loop,
+    # and an edge present in one direction only, either way round
+    with pytest.raises(ValueError, match="beyond the vertex range"):
+        DenseGraph(("a", "b"), (0b100, 0b000))
+    with pytest.raises(ValueError, match="loop at vertex 1"):
+        DenseGraph(("a", "b", "c"), (0b000, 0b010, 0b000))
+    for adj in ((0b010, 0b000, 0b000), (0b000, 0b000, 0b010),
+                (0b110, 0b001, 0b000)):
+        with pytest.raises(ValueError, match="not symmetric"):
+            DenseGraph(("a", "b", "c"), adj)
+    assert DenseGraph(("a", "b", "c"), (0b110, 0b001, 0b001)).num_edges == 2
 
 
 def test_max_clique_small():
@@ -60,6 +75,16 @@ def test_build_graph_vertex_and_edge_counts():
     g = build_graph(GrassmannParams(2, 5, 2, 1))
     assert g.num_vertices == 155
     assert all(g.degree(i) == 42 for i in range(155))
+
+
+@pytest.mark.parametrize("p", [(2, 4, 2, 1), (2, 5, 2, 1), (3, 4, 2, 1), (2, 5, 3, 2)])
+def test_build_graph_matches_pairwise_adjacency(p):
+    # shared t-subspaces against one `grassmann.adjacent` rank per pair
+    params = GrassmannParams(*p)
+    verts = list(enumerate_subspaces(*p[:3]))
+    want = dense_graph([encode_subspace(S) for S in verts],
+                       lambda i, j: adjacent(verts[i], verts[j], params.t))
+    assert build_graph(params) == want
 
 
 def test_build_graph_cap():
