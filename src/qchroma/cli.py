@@ -163,8 +163,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_oracle(args) -> int:
     params = _params(args)
     g = oracle.build_graph(params, cap=args.cap)
-    mc = oracle.max_clique(g, budget=args.budget)
     ch = oracle.exact_chromatic(g, budget=args.budget)
+    mc = ch.clique
     if args.format == "json":
         doc = {"vertices": str(g.num_vertices), "edges": str(g.num_edges),
                "max_clique": str(mc.size), "clique_exact": mc.exact,

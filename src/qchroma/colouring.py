@@ -32,9 +32,8 @@ from all sums of cell terms at once.  In the dual regime the complement's
 rows are the unit rows of the identifying vector's
 `matq._complement_scaffold` with each free cell's value scattered in,
 negated; `matq._eliminate` brings them to RREF from per-field tables.
-`full_colouring` builds the scaffold once per identifying vector and copies
-it per vertex; `colour_subspace` builds it per query, through
-`matq._complement_of_rref`.
+The scaffold is cached per pivot set; `full_colouring` copies it per
+vertex, and `colour_subspace` per query, through `matq._complement_of_rref`.
 In the complete regime the colour is the running index.
 `rankmetric.unlift` plus `rankmetric.coset_index` is the reference the
 tests compare the kernel against.
@@ -327,12 +326,13 @@ class _CosetColourer:
         """
         field = self.ctx.params.field
         neg = _arithmetic(field)[0]
-        units, places = _complement_scaffold(len(idvec), [j for j, b in enumerate(idvec) if b])
+        units, places = _complement_scaffold(len(idvec),
+                                             tuple(j for j, b in enumerate(idvec) if b))
         places = [(k, c) for _, _, k, c in places]
         block = []
         for values in itertools.product([neg[v] for v in range(field.order)],
                                         repeat=len(places)):
-            rows = [row[:] for row in units]
+            rows = [list(row) for row in units]
             for (k, c), v in zip(places, values):
                 rows[k][c] = v
             block.append(self.colour(rows, tuple(_eliminate(field, rows, reduced=True))))

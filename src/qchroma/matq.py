@@ -217,8 +217,10 @@ def orthogonal_complement(U: MatrixFq) -> MatrixFq:
     return MatrixFq(U.field, _complement_of_rref(U.field, R.rows, pivots)[0])
 
 
-def _complement_scaffold(n: int, pivots: Sequence[int]
-                         ) -> tuple[list[list[int]], list[tuple[int, int, int, int]]]:
+@functools.lru_cache(maxsize=None)
+def _complement_scaffold(n: int, pivots: tuple[int, ...]
+                         ) -> tuple[tuple[tuple[int, ...], ...],
+                                    tuple[tuple[int, int, int, int], ...]]:
     """(unit rows, places) of the dual of the RREF bases with these pivots.
 
     For an RREF basis B of F_q^n with pivot i in column pivots[i], the dual
@@ -226,19 +228,19 @@ def _complement_scaffold(n: int, pivots: Sequence[int]
     and -B[i][f] in column pivots[i].  The unit rows are those rows with
     every B entry 0.  A place (i, j, k, c) says that B's free cell (i, j)
     lands, negated, in row k and column c of the unit rows; the places are
-    in `grassmann.free_cells` order (row-major over B).
+    in `grassmann.free_cells` order (row-major over B).  Cached per pivot
+    set, so callers copy the unit rows into lists before filling them.
     """
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
-    units = [[0] * n for _ in free]
-    for row, f in zip(units, free):
-        row[f] = 1
+    units = tuple(tuple(1 if j == f else 0 for j in range(n)) for f in free)
     rows_of = list(enumerate(free))
-    return units, [(i, j, k, c) for i, c in enumerate(pivots) for k, j in rows_of if j > c]
+    return units, tuple((i, j, k, c) for i, c in enumerate(pivots)
+                        for k, j in rows_of if j > c)
 
 
 def _complement_of_rref(field: FieldSpec, rows: Sequence[Sequence[int]],
-                        pivots: Sequence[int]
+                        pivots: tuple[int, ...]
                         ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """RREF rows and pivots of the dual of a full-rank RREF basis with these pivots.
 
@@ -247,7 +249,8 @@ def _complement_of_rref(field: FieldSpec, rows: Sequence[Sequence[int]],
     `Subspace` basis, or the rows of one identifying vector), this skips the
     elimination `orthogonal_complement` runs on its input.
     """
-    units, places = _complement_scaffold(len(rows[0]) if rows else 0, pivots)
+    scaffold, places = _complement_scaffold(len(rows[0]) if rows else 0, pivots)
+    units = [list(row) for row in scaffold]
     neg = _arithmetic(field)[0]
     for i, j, k, c in places:
         units[k][c] = neg[rows[i][j]]

@@ -7,6 +7,17 @@ expansions, never wall time, so results reproduce across machines; an
 exhausted budget degrades to a clearly flagged bracket instead of a wrong
 answer.
 
+`dsatur` and the decision search `_k_colourable` keep their saturation
+state as bitmasks over the vertices, so no step walks the vertices or a
+vertex's neighbours one at a time.  `has[c]` holds the uncoloured vertices
+with a neighbour of colour c, and the saturation counts are bit-sliced:
+`planes[k]` holds the vertices whose count has bit k set.  Painting v with
+c raises the count of `changed = adj[v] & uncoloured & ~has[c]` by one
+ripple carry over the O(log V) planes (`_saturate`, `_add`); the search's
+unpaint takes it back by the matching borrow (`_subtract`).  The next vertex is found by
+AND-ing the uncoloured mask with each plane from the top
+(`_most_saturated`): highest saturation, ties to the lowest index.
+
 Nothing in this module knows about the colouring construction it is used
 to cross-check, which is the point.
 """
@@ -121,28 +132,60 @@ def johnson_graph(n: int, m: int, t: int) -> DenseGraph:
 
 # -- greedy colouring ---------------------------------------------------------
 
+def _add(planes: list[int], x: int) -> None:
+    """Add 1 to the bit-sliced count of every vertex in x (ripple carry)."""
+    for i, p in enumerate(planes):
+        planes[i] = p ^ x
+        x &= p
+        if not x:
+            return
+    planes.append(x)
+
+
+def _subtract(planes: list[int], x: int) -> None:
+    """Take 1 from the bit-sliced count of every vertex in x (ripple borrow);
+    each count in x must be positive."""
+    for i, p in enumerate(planes):
+        planes[i] = p = p ^ x
+        x &= p  # a bit of x borrows where the old plane held 0
+        if not x:
+            return
+
+
+def _saturate(has: list[int], planes: list[int], c: int, reached: int) -> int:
+    """Give the vertices in `reached` a neighbour of colour c; returns those
+    to which c is new, whose counts rise by one."""
+    changed = reached ^ (reached & has[c])
+    has[c] |= changed
+    _add(planes, changed)
+    return changed
+
+
+def _most_saturated(uncoloured: int, planes: list[int]) -> int:
+    """The uncoloured vertex of highest count, ties to the lowest index."""
+    for p in reversed(planes):
+        top = uncoloured & p
+        if top:
+            uncoloured = top
+    return (uncoloured ^ (uncoloured - 1)).bit_length() - 1
+
+
 def dsatur(adj: Sequence[int]) -> list[int]:
     """Greedy colouring by maximum saturation; ties go to the lowest index."""
     n = len(adj)
     colours = [-1] * n
-    neighbour_colours: list[set[int]] = [set() for _ in range(n)]
+    uncoloured = (1 << n) - 1
+    has = [0] * n  # has[c]: uncoloured vertices with a neighbour of colour c
+    planes: list[int] = []  # saturation counts, bit-sliced
     for _ in range(n):
-        best = -1
-        best_sat = -1
-        for v in range(n):
-            if colours[v] < 0 and len(neighbour_colours[v]) > best_sat:
-                best = v
-                best_sat = len(neighbour_colours[v])
+        v = _most_saturated(uncoloured, planes)
+        bit = 1 << v
+        uncoloured ^= bit
         c = 0
-        while c in neighbour_colours[best]:
+        while has[c] & bit:  # ends below n: v has fewer than n neighbours
             c += 1
-        colours[best] = c
-        mask = adj[best]
-        while mask:
-            u = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            if colours[u] < 0:
-                neighbour_colours[u].add(c)
+        colours[v] = c
+        _saturate(has, planes, c, adj[v] & uncoloured)
     return colours
 
 
@@ -250,6 +293,7 @@ class ChromaticResult:
     colouring: tuple[int, ...]
     exact: bool
     nodes: int
+    clique: CliqueResult  # the max-clique search that set `lower`
 
     @property
     def value(self) -> int:
@@ -266,76 +310,66 @@ def _k_colourable(g: DenseGraph, k: int, clique: tuple[int, ...],
     if len(clique) > k:
         return "unsat", None
     colours = [-1] * n
-    sat_mask = [0] * n  # bitmask of colours used by coloured neighbours
-    sat_count = [0] * n
-    uncoloured = n
-    max_used = 0
+    uncoloured = (1 << n) - 1
+    has = [0] * k  # as in `dsatur`
+    planes: list[int] = []
 
-    def paint(v: int, c: int, changed: list[int]) -> None:
+    def paint(v: int, c: int) -> int:
+        """Colour v with c; returns the vertices whose saturation rose."""
+        nonlocal uncoloured
         colours[v] = c
-        mask = g.adj[v]
-        bit = 1 << c
-        while mask:
-            u = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            if colours[u] < 0 and not sat_mask[u] & bit:
-                sat_mask[u] |= bit
-                sat_count[u] += 1
-                changed.append(u)
+        uncoloured ^= 1 << v
+        return _saturate(has, planes, c, g.adj[v] & uncoloured)
 
-    def unpaint(v: int, c: int, changed: list[int]) -> None:
+    def unpaint(v: int, c: int, changed: int) -> None:
+        nonlocal uncoloured
         colours[v] = -1
-        bit = 1 << c
-        for u in changed:
-            sat_mask[u] &= ~bit
-            sat_count[u] -= 1
+        uncoloured |= 1 << v
+        has[c] ^= changed
+        _subtract(planes, changed)
 
-    pre: list[int] = []
+    max_used = 0
     for i, v in enumerate(clique):
-        paint(v, i, pre)
-        uncoloured -= 1
+        paint(v, i)
         max_used = max(max_used, i + 1)
+    left = uncoloured.bit_count()
 
     # Depth-first search with an explicit stack, one frame per painted
     # vertex: (vertex, colour, colours left to try, changed, max_used
     # before it).  A node whose vertex has no colour left backtracks to the
     # nearest frame with one.
-    frames: list[tuple[int, int, int, list[int], int]] = []
+    frames: list[tuple[int, int, int, int, int]] = []
     while True:
-        if len(frames) == uncoloured:
+        if len(frames) == left:
             return "sat", colours  # the leaf's colours are the witness
         if not bud.spend():
             return "budget", None
-        v = -1
-        v_sat = -1
-        for u in range(n):
-            if colours[u] < 0 and sat_count[u] > v_sat:
-                v = u
-                v_sat = sat_count[u]
-        avail = ~sat_mask[v] & ((1 << min(k, max_used + 1)) - 1)
+        v = _most_saturated(uncoloured, planes)
+        bit = 1 << v
+        avail = 0
+        for c in range(min(k, max_used + 1)):
+            if not has[c] & bit:
+                avail |= 1 << c
         while not avail:
             if not frames:
                 return "unsat", None
             v, c, avail, changed, max_used = frames.pop()
             unpaint(v, c, changed)
         c = (avail & -avail).bit_length() - 1
-        changed = []
-        paint(v, c, changed)
-        frames.append((v, c, avail & (avail - 1), changed, max_used))
+        frames.append((v, c, avail & (avail - 1), paint(v, c), max_used))
         max_used = max(max_used, c + 1)
 
 
 def exact_chromatic(g: DenseGraph, budget: int = DEFAULT_BUDGET) -> ChromaticResult:
     """Exact chromatic number by upward decision search from the clique bound."""
-    n = g.num_vertices
-    if n == 0:
-        return ChromaticResult(0, 0, (), True, 0)
     clique = max_clique(g, budget)
+    if g.num_vertices == 0:
+        return ChromaticResult(0, 0, (), True, 0, clique)
     lower = clique.size
     greedy = dsatur(g.adj)
     upper = max(greedy) + 1
     if lower == upper:
-        return ChromaticResult(lower, upper, tuple(greedy), True, clique.nodes)
+        return ChromaticResult(lower, upper, tuple(greedy), True, clique.nodes, clique)
     bud = _Budget(budget)
     best = greedy
     k = lower
@@ -344,12 +378,13 @@ def exact_chromatic(g: DenseGraph, budget: int = DEFAULT_BUDGET) -> ChromaticRes
         if status == "sat":
             assert col is not None
             return ChromaticResult(k, k, tuple(col), True,
-                                   budget - max(bud.left, 0))
+                                   budget - max(bud.left, 0), clique)
         if status == "budget":
             return ChromaticResult(k, upper, tuple(best), False,
-                                   budget - max(bud.left, 0))
+                                   budget - max(bud.left, 0), clique)
         k += 1  # proved unsat, chromatic number exceeds k
-    return ChromaticResult(upper, upper, tuple(best), True, budget - max(bud.left, 0))
+    return ChromaticResult(upper, upper, tuple(best), True,
+                           budget - max(bud.left, 0), clique)
 
 
 # -- DIMACS export ------------------------------------------------------------

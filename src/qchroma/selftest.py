@@ -313,8 +313,8 @@ def _clique_witness(rng: random.Random) -> str:
 
 def _oracle_sanity(rng: random.Random) -> str:
     g = oracle.build_graph(gr.GrassmannParams(2, 4, 2, 1))
-    mc = oracle.max_clique(g)
     ch = oracle.exact_chromatic(g)
+    mc = ch.clique
     if not (mc.exact and ch.exact):
         return "oracle failed to finish on 35 vertices"
     if ch.value < mc.size:

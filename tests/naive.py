@@ -1,9 +1,9 @@
 """Deliberately naive reference implementations used as independent oracles.
 
-Everything here but the verifier and writer references at the end models
-a subspace as the frozen set of ALL its vectors (coordinate tuples) and
-never touches echelon forms, so agreement with the library is meaningful
-evidence rather than a tautology.
+Everything here but the verifier, writer and saturation-search references
+at the end models a subspace as the frozen set of ALL its vectors
+(coordinate tuples) and never touches echelon forms, so agreement with the
+library is meaningful evidence rather than a tautology.
 """
 
 import itertools
@@ -248,3 +248,92 @@ def naive_certificate_to_json(cert):
         },
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def naive_dsatur(adj):
+    """`oracle.dsatur` by scans: each step walks every vertex for the most
+    saturated one and every neighbour to record the new colour."""
+    n = len(adj)
+    colours = [-1] * n
+    neighbour_colours = [set() for _ in range(n)]
+    for _ in range(n):
+        best = -1
+        best_sat = -1
+        for v in range(n):
+            if colours[v] < 0 and len(neighbour_colours[v]) > best_sat:
+                best = v
+                best_sat = len(neighbour_colours[v])
+        c = 0
+        while c in neighbour_colours[best]:
+            c += 1
+        colours[best] = c
+        mask = adj[best]
+        while mask:
+            u = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            if colours[u] < 0:
+                neighbour_colours[u].add(c)
+    return colours
+
+
+def naive_k_colourable(g, k, clique, bud):
+    """`oracle._k_colourable` with per-vertex saturation lists: each node
+    scans every vertex for the next one to paint, and painting walks the
+    painted vertex's neighbours."""
+    n = g.num_vertices
+    if len(clique) > k:
+        return "unsat", None
+    colours = [-1] * n
+    sat_mask = [0] * n  # bitmask of colours used by coloured neighbours
+    sat_count = [0] * n
+    uncoloured = n
+    max_used = 0
+
+    def paint(v, c, changed):
+        colours[v] = c
+        mask = g.adj[v]
+        bit = 1 << c
+        while mask:
+            u = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            if colours[u] < 0 and not sat_mask[u] & bit:
+                sat_mask[u] |= bit
+                sat_count[u] += 1
+                changed.append(u)
+
+    def unpaint(v, c, changed):
+        colours[v] = -1
+        bit = 1 << c
+        for u in changed:
+            sat_mask[u] &= ~bit
+            sat_count[u] -= 1
+
+    pre = []
+    for i, v in enumerate(clique):
+        paint(v, i, pre)
+        uncoloured -= 1
+        max_used = max(max_used, i + 1)
+
+    frames = []
+    while True:
+        if len(frames) == uncoloured:
+            return "sat", colours
+        if not bud.spend():
+            return "budget", None
+        v = -1
+        v_sat = -1
+        for u in range(n):
+            if colours[u] < 0 and sat_count[u] > v_sat:
+                v = u
+                v_sat = sat_count[u]
+        avail = ~sat_mask[v] & ((1 << min(k, max_used + 1)) - 1)
+        while not avail:
+            if not frames:
+                return "unsat", None
+            v, c, avail, changed, max_used = frames.pop()
+            unpaint(v, c, changed)
+        c = (avail & -avail).bit_length() - 1
+        changed = []
+        paint(v, c, changed)
+        frames.append((v, c, avail & (avail - 1), changed, max_used))
+        max_used = max(max_used, c + 1)

@@ -40,6 +40,7 @@ def test_tracer_installs_counts_and_uninstalls():
     # the Johnson-method dispatch reaches the traced greedy colouring
     assert calls["colouring.make_context"] == 1
     assert calls["johnson.greedy_colouring"] == 1
+    assert calls["oracle.dsatur"] == 1
     assert colouring.make_context is make_context
     assert johnson.greedy_colouring is greedy
     assert grassmann.Subspace.__init__ is subspace_init

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 from math import comb
 
 import pytest
@@ -88,6 +89,14 @@ def test_greedy_matches_oracle_exact_values():
         pal = greedy_colouring(n, m, t).palette
         exact = oracle.exact_chromatic(oracle.johnson_graph(n, m, t))
         assert exact.exact and exact.value == want == pal
+
+
+def test_greedy_at_the_subset_cap_is_fast():
+    # 924 subsets, just below GREEDY_SUBSET_CAP, and 462 colours
+    start = time.perf_counter()
+    col = greedy_colouring(12, 6, 1)
+    assert time.perf_counter() - start < 0.2
+    assert col.palette == 462
 
 
 @pytest.mark.parametrize("n,m,t", [(4, 2, 1), (5, 2, 1), (6, 3, 1), (6, 3, 2),

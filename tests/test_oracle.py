@@ -1,8 +1,10 @@
 import os
+import random
 import time
 
 import pytest
 
+import naive
 from qchroma import oracle
 from qchroma.grassmann import (GrassmannParams, adjacent, encode_subspace,
                                enumerate_subspaces)
@@ -66,6 +68,61 @@ def test_dsatur_is_proper_and_deterministic():
             j = (mask & -mask).bit_length() - 1
             mask &= mask - 1
             assert colours[i] != colours[j]
+
+
+def _random_graph(rng, n):
+    p = rng.random()
+    return dense_graph([str(i) for i in range(n)], lambda i, j: rng.random() < p)
+
+
+# the Johnson ladder of test_johnson.py::test_both_methods_proper, then
+# Grassmann graphs J_q(n, m, t) by (q, n, m, t)
+SEARCH_LADDER = ([("johnson", nmt) for nmt in ((4, 2, 1), (5, 2, 1), (6, 3, 1), (6, 3, 2),
+                                                (7, 3, 1), (8, 4, 1))]
+                 + [("grassmann", p) for p in ((2, 5, 2, 1), (3, 4, 2, 1), (2, 5, 3, 2))])
+
+
+def _ladder_graph(family, params):
+    if family == "johnson":
+        return johnson_graph(*params)
+    return build_graph(GrassmannParams(*params))
+
+
+def test_dsatur_matches_scan_reference():
+    rng = random.Random(2026)
+    graphs = [_random_graph(rng, rng.randrange(0, 60)) for _ in range(200)]
+    graphs += [_ladder_graph(*case) for case in SEARCH_LADDER]
+    for g in graphs:
+        assert dsatur(g.adj) == naive.naive_dsatur(g.adj)
+
+
+@pytest.mark.parametrize("case", SEARCH_LADDER + [("random", seed) for seed in range(3)])
+def test_decision_search_matches_scan_reference(case):
+    # the same (status, colouring) from the same budget nodes, for every k
+    # from the clique bound to the greedy bound
+    if case[0] == "random":
+        rng = random.Random(case[1])
+        graphs = [_random_graph(rng, rng.randrange(1, 30)) for _ in range(10)]
+    else:
+        graphs = [_ladder_graph(*case)]
+    for g in graphs:
+        clique = max_clique(g).witness
+        for k in range(len(clique), max(dsatur(g.adj)) + 2):
+            for budget in (2_000, 20_000):
+                ours, ref = oracle._Budget(budget), oracle._Budget(budget)
+                assert (oracle._k_colourable(g, k, clique, ours), ours.left) == \
+                    (naive.naive_k_colourable(g, k, clique, ref), ref.left)
+
+
+def test_decision_search_on_1395_vertices_is_fast():
+    # J_2(6,3,1): the search behind `qchroma oracle --q 2 --n 6 --m 3 --t 1`
+    g = build_graph(GrassmannParams(2, 6, 3, 1))
+    clique = max_clique(g, budget=300).witness
+    bud = oracle._Budget(20_000)
+    start = time.perf_counter()
+    status, _ = oracle._k_colourable(g, len(clique), clique, bud)
+    assert time.perf_counter() - start < 3.0
+    assert (status, bud.left) == ("budget", -1)
 
 
 def test_build_graph_vertex_and_edge_counts():
