@@ -49,15 +49,23 @@ are those of `json.dumps(doc, indent=1, sort_keys=True)`, but
 entry with the key escaped as `json.dumps` escapes it, and splices it into
 a dump of the rest of the document.
 
-`verify_properness` re-checks a certificate without building a `Subspace`
-per vertex.  Keys are parsed by template (`_KeyParser`): the header is
-matched, the pivots are read from the rows and the identifying vector's
-`key_template`, filled with the key's free-cell texts, must re-render the
-key exactly.  Fingerprints are packed (`_Fingerprints`): each F_p
-coordinate of each entry has its own bit slot, scaled basis rows come from
-per-field tables of c·v, and a row sum is folded mod p by table.  The
-verifier shares this field arithmetic (`matq.PackedFp`) with the
-construction's syndrome table, but no lifting and no cosets.
+`verify_properness` decides acceptance by blocks, one identifying vector
+at a time, as `full_colouring` builds a certificate.  Coverage is by
+lookup: V entries with V distinct keys, among them every vertex's key as
+its identifying vector's `key_template` renders it.  Properness is by
+sorting: a fingerprint row r·B is F_q-linear in B's free cells, so the
+rows of a whole block come from all sums of per-cell terms at once, and
+each (colour, t-subspace) pair of every vertex becomes one integer; the
+colouring is proper when no integer repeats.  Dual-regime certificates are
+fingerprinted on the orthogonal complements, which have fewer of the
+subspaces that decide adjacency.  A refused certificate is named key by key
+(`_verify_by_keys`): keys are parsed by template (`_KeyParser`), and the
+first clash of `johnson.colour_clash` is reported with its intersection
+dimension and a shared t-subspace.  Fingerprints are packed
+(`_Fingerprints`): each F_p coordinate of each entry has its own bit slot,
+terms come from per-field tables of c·v, and a row sum is folded mod p by
+table.  The verifier shares this field arithmetic (`matq.PackedFp`) with
+the construction's syndrome table, but no lifting and no cosets.
 """
 
 from __future__ import annotations
@@ -66,8 +74,8 @@ import itertools
 import json
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import getitem
-from typing import Iterable
+from operator import add, eq, getitem, mul
+from typing import Iterable, Sequence
 
 from .grassmann import (GrassmannParams, Subspace, decode_subspace,
                         degree_formula, encode_subspace, entry_texts,
@@ -354,8 +362,9 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
     `key_template`; colours come from `_CosetColourer` (direct: all at once
     from the context's syndrome table; dual: per vertex, from the RREF rows
     of the orthogonal complement, filled into the identifying vector's
-    complement scaffold) or are the running index (complete).  The
-    vertices' own RREF rows are built only for verification.
+    complement scaffold) or are the running index (complete).  Verification
+    fingerprints the same blocks of colours (`_clash_free`); the vertices'
+    RREF rows are built only to name a clash.
     """
     params = ctx.params
     total = check_vertex_cap(params, vertex_cap)
@@ -367,7 +376,7 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
     colourer = None if ctx.regime == COMPLETE else _CosetColourer(ctx)
     entries: list[tuple[str, int]] = []
     colours: list[int] = []
-    bases: list[tuple[tuple[int, ...], ...]] = []  # kept only to verify
+    blocks: list = []  # per identifying vector, kept only to verify
     for idvec in weight_vectors_lex(params.n, params.m):
         template = key_template(field, idvec)
         keys = [template.format(*values) for values in
@@ -381,19 +390,20 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
         entries.extend(zip(keys, block))
         colours.extend(block)
         if verify:
-            bases.extend(rref_bases(params.q, idvec))
+            blocks.append(block)
 
+    palette_used = len(set(colours))
     proper: bool | None = None
     pairs_checked = 0
     if verify:
-        clash = _find_clash(bases, colours, params)
-        if clash is not None:
-            cex, witness = clash
+        if palette_used < total and not _clash_free(params, blocks):
+            bases = [rows for idvec in weight_vectors_lex(params.n, params.m)
+                     for rows in rref_bases(params.q, idvec)]
+            cex, witness = _find_clash(bases, colours, params)
             raise AssertionError(f"construction produced an improper colouring: "
                                  f"{cex}, sharing {witness}")
         proper, pairs_checked = True, total * (total - 1) // 2
 
-    palette_used = len(set(colours))
     bounds = bounds_report(params, ctx.johnson.method if ctx.johnson else "greedy",
                            ctx.johnson.palette if ctx.johnson else None)
     if palette_used > bounds["theorem_upper"]:
@@ -430,7 +440,9 @@ class _Fingerprints:
     one fold of the sum gives the base-q integer whose digit j is entry j.
     A fingerprint is the tuple of those integers for the rows of one C,
     the C taken in `rref_bases` order over `weight_vectors_lex(m, t)`.
-    This is field arithmetic only: no lifting and no cosets.
+    `of` builds one vertex's; `block` builds the rows of a whole identifying
+    vector's vertices at once.  This is field arithmetic only: no lifting
+    and no cosets.
     """
 
     def __init__(self, params: GrassmannParams):
@@ -442,8 +454,8 @@ class _Fingerprints:
         # rows of the C, by weight: zeroing a free entry of a row gives a row
         # of another C with the same pivots, so the sum for a row is the sum
         # for the row without its last nonzero entry plus one scaled row
-        coeff_rows = sorted({r for C in combos for r in C},
-                            key=lambda r: (m - r.count(0), r))
+        self.coeff_rows = coeff_rows = sorted({r for C in combos for r in C},
+                                              key=lambda r: (m - r.count(0), r))
         row_at = {r: x for x, r in enumerate(coeff_rows)}
         self.columns = [[row_at[C[k]] for C in combos] for k in range(params.t)]
         # the scaled rows (i, c) = c·B_i that the sums use
@@ -465,6 +477,7 @@ class _Fingerprints:
               for c in range(q)]
         self.term = [[[x << (j * stride) for x in cv[c]] for c in range(q)]
                      for j in range(n)]  # term[j][c][v]: c·v as entry j
+        self._negated: list | None = None  # the same with v negated, for `block`
         self._specs: dict[tuple[int, ...], tuple] = {}
 
     def _spec(self, pivots: tuple[int, ...]):
@@ -496,6 +509,46 @@ class _Fingerprints:
         """The fingerprints of the vertex with these RREF rows."""
         pivots = tuple(row.index(1) for row in rows)
         return self.of(pivots, [rows[i][j] for i, j in self._spec(pivots)[0]])
+
+    def block(self, idvec: tuple[int, ...], complement: bool = False) -> list[list[int]]:
+        """Per row r of `coeff_rows`, the folded r·B of every vertex with
+        this identifying vector, in `rref_bases` order.
+
+        r·B is the sum of r_k times the pivot 1 of row k of B plus, per free
+        cell, a term F_q-linear in the cell's value, so the sums of a whole
+        identifying vector come at once, as `_CosetColourer.block` sums
+        syndromes: a cell with a nonzero coefficient adds its terms to every
+        sum so far, a cell with coefficient 0 repeats the sums q times.
+
+        With `complement`, the fingerprints are of the vertices' orthogonal
+        complements and this object is built for `params.dual()`.  For a
+        vertex with pivots P and free cells A, the complement's rows
+        e_j - Σ_i A[i][j]·e_{p_i}, j not in P, by descending j, are its RREF
+        under the reversed column order, so every vertex's t-subspaces are
+        fingerprinted canonically; the free cell (i, j) holds -A[i][j] in
+        column p_i of the row of j.
+        """
+        q, term = self.field.order, self.term
+        pivots = [j for j, b in enumerate(idvec) if b]
+        cells = free_cells(idvec)
+        if complement:
+            leads = [j for j in reversed(range(self.n)) if not idvec[j]]
+            row_of = {j: k for k, j in enumerate(leads)}
+            cells = [(row_of[j], pivots[i]) for i, j in cells]
+            if self._negated is None:
+                neg = [self.field.neg(v) for v in range(q)]
+                self._negated = [[[tc[v] for v in neg] for tc in tj] for tj in term]
+            tables = self._negated  # tables[j][c][v]: c·(-v) as entry j
+        else:
+            leads, tables = pivots, term  # leads: the column of each row's pivot 1
+        out = []
+        for r in self.coeff_rows:
+            totals = [sum(term[j][c][1] for j, c in zip(leads, r))]
+            for k, j in reversed(cells):  # the first cell varies slowest
+                c = r[k]
+                totals = [a + b for a in tables[j][c] for b in totals] if c else totals * q
+            out.append(self.packed.fold_all(totals))
+        return out
 
     def subspace(self, fingerprint: tuple[int, ...]) -> Subspace:
         """The t-subspace a fingerprint stands for."""
@@ -540,6 +593,39 @@ def _find_clash(bases: list[tuple[tuple[int, ...], ...]], colours: list[int],
     field = params.field
     return _named_clash(fp, colour_clash(colours, lambda i: fp.of_rows(bases[i])),
                         lambda k: Subspace(MatrixFq(field, bases[k])))
+
+
+def _clash_free(params: GrassmannParams, blocks: Iterable[Sequence[int]]) -> bool:
+    """Whether no two vertices of one colour share a t-subspace.
+
+    `blocks` holds the colours of all vertices, one sequence per identifying
+    vector of `weight_vectors_lex(n, m)`, in `rref_bases` order.  Each vertex
+    and each of its fingerprinted k-subspaces give one integer, the colour
+    times q^(n·k) plus the fingerprint's k rows (`_Fingerprints.block`) as
+    base-q^n digits, so the integer determines the pair;
+    the integers of all vertices are sorted.  A vertex's own t-subspaces are
+    distinct, so two equal integers are two vertices of one colour sharing
+    a t-subspace.  In the dual regime the vertices' orthogonal complements
+    are fingerprinted instead: dim(S ∩ T) >= t exactly when S⊥ and T⊥ share
+    an (n - 2m + t)-subspace, and S⊥ has fewer of those than S has
+    t-subspaces.  A True answer is the certificate; on False the caller
+    names the clash with `colour_clash`.
+    """
+    complement = regime_of(params) == DUAL
+    fp = _Fingerprints(params.dual() if complement else params)
+    base = params.q ** params.n  # a folded row is below this
+    combos = [(combo[:-1], combo[-1]) for combo in zip(*fp.columns)]
+    codes: list[int] = []
+    for idvec, colours in zip(weight_vectors_lex(params.n, params.m), blocks):
+        rows = fp.block(idvec, complement)
+        high = [c * base for c in colours]
+        for lead, last in combos:
+            code = high
+            for x in lead:
+                code = map(mul, map(add, code, rows[x]), itertools.repeat(base))
+            codes += map(add, code, rows[last])
+    codes.sort()
+    return not any(map(eq, codes, itertools.islice(codes, 1, None)))
 
 
 class _KeyParser:
@@ -593,6 +679,50 @@ class _KeyParser:
 def verify_properness(cert: ColourCertificate) -> VerificationReport:
     """Re-check a certificate from scratch: coverage first, then properness.
 
+    Acceptance is decided one identifying vector at a time, as
+    `full_colouring` builds a certificate.  The certificate must hold V
+    entries with V distinct keys, and every vertex's key, rendered from its
+    identifying vector's `key_template`, must be among them; then the key
+    set is exactly the Grassmannian's.  Coverage is checked for every vertex
+    before anything is skipped.  If all V colours are distinct the
+    colouring is proper; otherwise `_clash_free` fingerprints each block of
+    colours.  No key is parsed and no `Subspace` is built.  `pairs_checked`
+    is the C(V, 2) pairs the verdict certifies.  A certificate that fails
+    either check is refused by `_verify_by_keys`, which names what is
+    missing or unexpected, or the clashing pair and its witness.
+    """
+    params = cert.params
+    declared = params.vertex_count()
+    # linear in the certificate, whatever V it claims
+    blocks = _colour_blocks(params, cert.colours) if len(cert.colours) == declared else None
+    if blocks is not None and (len(set(itertools.chain.from_iterable(blocks))) == declared
+                               or _clash_free(params, blocks)):
+        return VerificationReport(True, declared * (declared - 1) // 2, None, True, (), ())
+    return _verify_by_keys(cert)
+
+
+def _colour_blocks(params: GrassmannParams, entries: tuple[tuple[str, int], ...]
+                   ) -> list[list[int]] | None:
+    """The colour of every vertex, one list per identifying vector, in
+    `enumerate_subspaces` order, read by the key `key_template` renders for
+    it; None unless the entries' keys are distinct and hold every vertex's."""
+    colour_of = dict(entries)
+    if len(colour_of) != len(entries):
+        return None
+    field = params.field
+    texts = entry_texts(field)
+    try:
+        return [list(map(colour_of.__getitem__, itertools.starmap(
+            key_template(field, idvec).format,
+            itertools.product(texts, repeat=len(free_cells(idvec))))))
+            for idvec in weight_vectors_lex(params.n, params.m)]
+    except KeyError:
+        return None
+
+
+def _verify_by_keys(cert: ColourCertificate) -> VerificationReport:
+    """`verify_properness` key by key, which names why a certificate is refused.
+
     Every key must be the canonical key of an m-subspace of this graph's
     F_q^n (`_KeyParser`), once.  Distinct canonical keys are distinct
     vertices, so V such keys cover the Grassmannian; the expected key set
@@ -600,8 +730,8 @@ def verify_properness(cert: ColourCertificate) -> VerificationReport:
     the graph has at most MISSING_LIST_SLACK more vertices than the
     certificate has keys, so a refusal costs time linear in the
     certificate's size.  Properness is the fingerprint check `_find_clash`
-    runs, fed with the parsed pivots and free cells, so no `Subspace` is
-    built for an accepted certificate.  `pairs_checked` is the C(V, 2) pairs it
+    runs, fed with the parsed pivots and free cells; only a clash is decoded
+    into `Subspace`s, to name it.  `pairs_checked` is the C(V, 2) pairs it
     certifies, and 0 when it refuses.
     """
     params = cert.params

@@ -196,11 +196,12 @@ def degree_formula(params: GrassmannParams) -> int:
     """Common vertex degree of J_q(n, m, t) as an exact integer.
 
     Term i counts the m-spaces meeting a fixed m-space in dimension
-    exactly i, summed over i = t .. m-1.
+    exactly i, summed over i = t .. m-1; no two m-spaces of F_q^n meet in
+    dimension below 2m - n, so terms below it are skipped.
     """
     q, n, m, t = params.q, params.n, params.m, params.t
     total = 0
-    for i in range(t, m):
+    for i in range(max(t, 2 * m - n), m):
         total += (gaussian_binomial(m, i, q)
                   * gaussian_binomial(n - m, m - i, q)
                   * q ** ((m - i) ** 2))

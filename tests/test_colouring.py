@@ -7,7 +7,7 @@ import pytest
 
 import naive
 from qchroma import colouring as col
-from qchroma import grassmann, rankmetric
+from qchroma import grassmann, matq, rankmetric
 from qchroma.grassmann import (GrassmannParams, adjacent, decode_subspace,
                                dualize, encode_subspace, enumerate_subspaces)
 from qchroma.matq import MatrixFq, gaussian_binomial, intersection_dim
@@ -414,7 +414,7 @@ def test_colour_zero_fibre_is_the_base_coset_family():
 # -- fingerprint verification against the all-pairs reference -----------------
 
 EQUIVALENCE_GRAPHS = [(2, 4, 2, 1), (3, 4, 2, 1), (4, 4, 2, 1), (2, 5, 3, 2),
-                      (2, 5, 3, 1)]
+                      (2, 5, 3, 1), (4, 3, 2, 1), (9, 3, 2, 1)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,33 +424,140 @@ def _certificate_and_spans(p):
     return cert, spans
 
 
+def _blocks_by_encoded_key(params, colour_of):
+    """The colours per identifying vector in `enumerate_subspaces` order,
+    looked up by each vertex's encoded key."""
+    blocks = {}
+    for S in enumerate_subspaces(params.q, params.n, params.m):
+        blocks.setdefault(S.idvec, []).append(colour_of[encode_subspace(S)])
+    return list(blocks.values())
+
+
 def _assert_witness(q, t, witness, span_a, span_b):
     shared = decode_subspace(witness)
     assert shared.m == t
     assert naive.span(q, shared.basis.rows) <= span_a & span_b
 
 
+def _assert_verdict_matches_all_pairs_walk(p, colours):
+    """The block verdict, and the report of `verify_properness`, agree with
+    `naive.naive_clash`; returns the report."""
+    q, t = p[0], p[3]
+    params = GrassmannParams(*p)
+    cert, spans = _certificate_and_spans(p)
+    keys = [k for k, _ in cert.colours]
+    clean = naive.naive_clash(q, spans, colours, t) is None
+    blocks = _blocks_by_encoded_key(params, dict(zip(keys, colours)))
+    assert col._clash_free(params, blocks) == clean
+    rep = col.verify_properness(
+        dataclasses.replace(cert, colours=tuple(zip(keys, colours))))
+    assert rep.coverage_ok
+    assert rep.proper == clean
+    if rep.proper:
+        assert rep.counterexample is None and rep.witness is None
+        return rep
+    a, b, dim = rep.counterexample
+    i, j = keys.index(a), keys.index(b)
+    assert colours[i] == colours[j]
+    assert dim == naive.naive_intersection_dim(q, spans[i], spans[j]) >= t
+    _assert_witness(q, t, rep.witness, spans[i], spans[j])
+    return rep
+
+
 @pytest.mark.parametrize("p", EQUIVALENCE_GRAPHS)
 @pytest.mark.parametrize("merges", [0, 1, 2, 5])
 def test_fingerprint_verdict_matches_all_pairs_walk(p, merges):
-    q, t = p[0], p[3]
-    cert, spans = _certificate_and_spans(p)
-    keys = [k for k, _ in cert.colours]
+    cert, _ = _certificate_and_spans(p)
     for seed in range(9 if merges else 1):
         colours = naive.merge_colours([c for _, c in cert.colours], merges,
                                       random.Random(seed))
-        rep = col.verify_properness(
-            dataclasses.replace(cert, colours=tuple(zip(keys, colours))))
-        assert rep.coverage_ok
-        assert rep.proper == (naive.naive_clash(q, spans, colours, t) is None)
-        if rep.proper:
-            assert rep.counterexample is None and rep.witness is None
+        _assert_verdict_matches_all_pairs_walk(p, colours)
+
+
+RELABELS = {"negated": lambda c: -c - 1, "above-2^40": lambda c: (c + 3) << 40,
+            "one-colour": lambda c: 7}
+
+
+@pytest.mark.parametrize("p", EQUIVALENCE_GRAPHS)
+@pytest.mark.parametrize("relabel", RELABELS)
+def test_verdict_on_relabelled_colours_matches_all_pairs_walk(p, relabel):
+    # negative colours, colours far above 2^40 and a single colour class;
+    # an injective relabelling keeps the reported pair and witness
+    cert, _ = _certificate_and_spans(p)
+    for seed in range(3):
+        colours = naive.merge_colours([c for _, c in cert.colours], seed,
+                                      random.Random(seed))
+        rep = _assert_verdict_matches_all_pairs_walk(p, list(map(RELABELS[relabel], colours)))
+        if relabel != "one-colour":
+            keys = [k for k, _ in cert.colours]
+            plain = col.verify_properness(
+                dataclasses.replace(cert, colours=tuple(zip(keys, colours))))
+            assert (rep.proper, rep.counterexample, rep.witness) == \
+                (plain.proper, plain.counterexample, plain.witness)
+        else:
+            assert not rep.proper
+
+
+@pytest.mark.parametrize("p", [(3, 5, 3, 2), (4, 5, 3, 2), (2, 6, 4, 3), (2, 7, 5, 4),
+                               (2, 6, 3, 2), (9, 4, 2, 1), (3, 4, 3, 1)])
+def test_block_verdict_matches_the_key_by_key_verdict(p):
+    # beyond the all-pairs ladder: dual graphs over F_3 and F_4, deeper dual
+    # graphs over F_2, a direct graph over F_9 and a complete one over F_3
+    params = GrassmannParams(*p)
+    cert = col.full_colouring(col.make_context(params), verify=False)
+    keys = [k for k, _ in cert.colours]
+    for merges, seed in ((0, 0), (1, 1), (5, 5)):
+        colours = naive.merge_colours([c for _, c in cert.colours], merges,
+                                      random.Random(seed))
+        tampered = dataclasses.replace(cert, colours=tuple(zip(keys, colours)))
+        by_keys = col._verify_by_keys(tampered)
+        assert col._clash_free(params, _blocks_by_encoded_key(params, dict(tampered.colours))) \
+            == by_keys.proper
+        assert col.verify_properness(tampered) == by_keys
+
+
+def _fingerprint_rows_to_subspace(field, n, fingerprint):
+    """The row space of a fingerprint's rows, read as base-q digits."""
+    q = field.order
+    return grassmann.Subspace.from_matrix(MatrixFq(field, tuple(
+        tuple(value // q ** j % q for j in range(n)) for value in fingerprint)))
+
+
+def _block_fingerprints(fp, idvec, complement=False):
+    """Per vertex of the block, its fingerprints from `_Fingerprints.block`."""
+    rows = fp.block(idvec, complement)
+    combos = list(zip(*fp.columns))
+    return [{tuple(rows[x][v] for x in combo) for combo in combos}
+            for v in range(len(rows[0]))]
+
+
+@pytest.mark.parametrize("p", [(2, 5, 3, 2), (3, 4, 2, 1)])
+def test_block_fingerprints_are_those_of_each_vertex(p):
+    params = GrassmannParams(*p)
+    fp = col._Fingerprints(params)
+    for idvec in grassmann.weight_vectors_lex(p[1], p[2]):
+        bases = list(grassmann.rref_bases(p[0], idvec))
+        assert _block_fingerprints(fp, idvec) == [set(fp.of_rows(rows)) for rows in bases]
+
+
+@pytest.mark.parametrize("p", [(2, 5, 3, 2), (3, 5, 3, 2), (4, 5, 3, 2), (9, 5, 3, 2),
+                               (2, 7, 4, 2)])
+def test_complement_block_fingerprints_are_the_dual_t_subspaces(p):
+    # the complement side: per vertex S, the (n - 2m + t)-subspaces of S⊥;
+    # blocks of at most 2 free cells, so F_9 stays small
+    params = GrassmannParams(*p)
+    field, n = params.field, params.n
+    fp = col._Fingerprints(params.dual())
+    for idvec in grassmann.weight_vectors_lex(n, params.m):
+        if len(grassmann.free_cells(idvec)) > 2:
             continue
-        a, b, dim = rep.counterexample
-        i, j = keys.index(a), keys.index(b)
-        assert colours[i] == colours[j]
-        assert dim == naive.naive_intersection_dim(q, spans[i], spans[j]) >= t
-        _assert_witness(q, t, rep.witness, spans[i], spans[j])
+        got = _block_fingerprints(fp, idvec, complement=True)
+        for rows, fingerprints in zip(grassmann.rref_bases(p[0], idvec), got):
+            dual = dualize(grassmann.Subspace(MatrixFq(field, rows)))
+            want = {fp.subspace(f) for f in fp.of_rows(dual.basis.rows)}
+            assert len(fingerprints) == len(want) == gaussian_binomial(
+                n - params.m, n - 2 * params.m + params.t, p[0])
+            assert {_fingerprint_rows_to_subspace(field, n, f) for f in fingerprints} == want
 
 
 @pytest.mark.parametrize("p", [(2, 4, 2, 1), (3, 4, 2, 1), (2, 5, 3, 2)])
@@ -514,6 +621,98 @@ def test_coverage_by_count_lists_alien_and_duplicate_keys():
     rep = col.verify_properness(dataclasses.replace(cert, colours=extra))
     assert not rep.coverage_ok
     assert rep.missing == () and rep.unexpected == (extra[-1][0],)
+
+
+def _swap_first_rows(key):
+    """The same subspace's key with its first two basis rows swapped."""
+    head, body = key.split("rows=", 1)
+    rows = body[1:-1].replace("],[", "]|[").split("|")
+    rows[0], rows[1] = rows[1], rows[0]
+    return f"{head}rows=[{','.join(rows)}]"
+
+
+@pytest.mark.parametrize("p", [(2, 4, 2, 1), (2, 5, 3, 2), (2, 5, 3, 1), (9, 3, 2, 1)])
+@pytest.mark.parametrize("mutant", ["non-canonical", "duplicate", "other-graph"])
+def test_coverage_mutant_with_v_keys_is_refused(p, mutant):
+    # one key replaced, the colour kept: still V keys, and in the complete
+    # graphs still V distinct colours, so only the coverage check refuses it
+    params = GrassmannParams(*p)
+    cert = col.full_colouring(col.make_context(params), verify=False)
+    entries = list(cert.colours)
+    original, colour = entries[5]
+    bad = {"non-canonical": _swap_first_rows(original),
+           "duplicate": entries[2][0],
+           "other-graph": original.replace(f"q={p[0]};", f"q={p[0] + 2};", 1)}[mutant]
+    entries[5] = (bad, colour)
+    assert len(entries) == params.vertex_count()
+    if col.regime_of(params) == "complete":
+        assert len({c for _, c in entries}) == len(entries)
+    rep = col.verify_properness(dataclasses.replace(cert, colours=tuple(sorted(entries))))
+    assert not rep.coverage_ok and not rep.proper and rep.pairs_checked == 0
+    assert rep.missing == (original,)
+    assert rep.unexpected == (bad,) == naive.naive_unexpected([k for k, _ in entries], params)
+
+
+def _counting_verifier_calls(monkeypatch) -> dict[str, int]:
+    """Count key parses, per-vertex fingerprints, key decodes and intersections."""
+    counts = dict.fromkeys(("parse", "of", "decode_subspace", "intersection_dim"), 0)
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+    monkeypatch.setattr(col._KeyParser, "parse", counted("parse", col._KeyParser.parse))
+    monkeypatch.setattr(col._Fingerprints, "of", counted("of", col._Fingerprints.of))
+    for module, name in ((grassmann, "decode_subspace"), (matq, "intersection_dim")):
+        call = counted(name, getattr(module, name))
+        monkeypatch.setattr(module, name, call)
+        monkeypatch.setattr(col, name, call)
+    return counts
+
+
+@pytest.mark.parametrize("p", [(2, 6, 3, 2), (4, 5, 2, 1), (2, 7, 4, 2)])
+def test_accepted_certificate_takes_the_block_path(p, monkeypatch):
+    cert = col.full_colouring(col.make_context(GrassmannParams(*p)), verify=False)
+    counts = _counting_verifier_calls(monkeypatch)
+    rep = col.verify_properness(cert)
+    assert rep.proper and rep.pairs_checked == len(cert.colours) * (len(cert.colours) - 1) // 2
+    assert counts == dict.fromkeys(counts, 0)
+
+
+def test_refused_certificate_is_named_key_by_key(monkeypatch):
+    cert = col.full_colouring(col.make_context(GrassmannParams(2, 6, 3, 2)),
+                              verify=False)
+    keys = [k for k, _ in cert.colours]
+    colours = _adjacent_pair_mutant(keys, [c for _, c in cert.colours], cert.params,
+                                    random.Random(6))
+    counts = _counting_verifier_calls(monkeypatch)
+    rep = col.verify_properness(dataclasses.replace(cert, colours=tuple(zip(keys, colours))))
+    assert rep.coverage_ok and not rep.proper
+    assert counts["parse"] == len(keys)
+    assert counts["of"] > 0 and counts["decode_subspace"] == 2
+    assert counts["intersection_dim"] == 1
+
+
+def test_verified_colouring_builds_no_basis_unless_it_clashes(monkeypatch):
+    params = GrassmannParams(2, 6, 3, 2)
+    ctx = col.make_context(params)
+    calls = []
+
+    def counted(q, idvec):  # the vertices' bases, not the fingerprints' t x m ones
+        if len(idvec) == params.n:
+            calls.append(idvec)
+        return grassmann.rref_bases(q, idvec)
+    monkeypatch.setattr(col, "rref_bases", counted)
+    cert = col.full_colouring(ctx, verify=True)
+    assert cert.proper and cert.pairs_checked == 1395 * 1394 // 2 and calls == []
+    # a broken kernel that paints every direct-regime vertex one colour is
+    # caught, and the clash is named from the decoded bases
+    monkeypatch.setattr(col._CosetColourer, "block", lambda self, idvec: [0] * 2 ** len(
+        grassmann.free_cells(idvec)))
+    with pytest.raises(AssertionError, match="improper colouring: .* sharing q=2;n=6;m=2"):
+        col.full_colouring(ctx, verify=True)
+    assert len(calls) == 20
 
 
 # -- template-parsed keys and packed fingerprints against the references ------

@@ -111,6 +111,8 @@ def test_adjacency_agrees_with_stacked_rank_route():
 @pytest.mark.parametrize("params,want", [
     (GrassmannParams(2, 4, 2, 1), 18),
     (GrassmannParams(2, 5, 2, 1), 42),
+    (GrassmannParams(2, 5, 4, 1), 30),  # complete with t < 2m - n: degree V - 1
+    (GrassmannParams(3, 4, 3, 1), 39),
 ])
 def test_degree_formula_against_neighbour_counts(params, want):
     verts = list(enumerate_subspaces(params.q, params.n, params.m))
