@@ -17,8 +17,7 @@ Parameters fall into three regimes:
   in dimension >= 2m - n >= t, so the graph is complete and every vertex
   gets its own colour (the enumeration index).
 
-One table-driven kernel colours both one vertex (`colour_subspace`) and
-the whole graph (`full_colouring`), with no `Subspace` built per vertex.
+The colour kernel is table-driven, with no `Subspace` built per vertex.
 The coset index is a syndrome, F_q-linear in the non-pivot block, so
 `rankmetric.SyndromeTable` holds each cell's contribution per value; the
 context builds it once per code.  A vertex's colour is class * block plus
@@ -29,14 +28,15 @@ context.  `full_colouring` walks one identifying vector at a time: the
 free cells run over F_q^f in `enumerate_subspaces` order, the keys fill
 the identifying vector's `key_template`, and direct-regime colours come
 from all sums of cell terms at once.  In the dual regime the complement's
-rows are the unit rows of the identifying vector's
-`matq._complement_scaffold` with each free cell's value scattered in,
-negated; `matq._eliminate` brings them to RREF from per-field tables.
-The scaffold is cached per pivot set; `full_colouring` copies it per
-vertex, and `colour_subspace` per query, through `matq._complement_of_rref`.
-In the complete regime the colour is the running index.
+RREF is read off its column rank profile by one walk over its columns,
+which the vertices of an identifying vector share up to their first
+differing row (`_CosetColourer.dual_block`).  A point query
+(`colour_subspace`) reads the same tables for one vertex; in the dual
+regime it eliminates the complement's scaffold
+(`matq._complement_of_rref`), which for one vertex costs less than the
+walk's tables.  In the complete regime the colour is the running index.
 `rankmetric.unlift` plus `rankmetric.coset_index` is the reference the
-tests compare the kernel against.
+tests compare both paths against.
 
 `full_colouring` also reports exact integer bounds, and
 (optionally but by default at desk scale) verifies properness before
@@ -72,9 +72,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import add, eq, getitem, mul
+from operator import add, eq, getitem, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .grassmann import (GrassmannParams, Subspace, decode_subspace,
@@ -84,8 +85,7 @@ from .grassmann import (GrassmannParams, Subspace, decode_subspace,
 from .johnson import (JohnsonColouring, check_method, colour_clash, gs_fits_desk,
                       johnson_bounds, johnson_colouring)
 from .matq import (MatrixFq, PackedFp, _arithmetic, _complement_of_rref,
-                   _complement_scaffold, _eliminate, gaussian_binomial,
-                   intersection_dim)
+                   gaussian_binomial, intersection_dim)
 from .rankmetric import (DISTANCE_SCAN_LIMIT, GabidulinCode, SyndromeTable,
                          gabidulin_build, min_rank_distance)
 
@@ -170,21 +170,14 @@ def _spec(ctx: ColourContext, pivots: tuple[int, ...]
     return spec
 
 
-def _coset_of(ctx: ColourContext, rows: tuple[tuple[int, ...], ...],
-              pivots: tuple[int, ...]) -> tuple[int, int]:
-    """(class * block, coset index) of the direct-regime vertex with these
-    RREF rows and pivots: the table's index of its cells' summed terms."""
-    base, cells, terms = _spec(ctx, pivots)
-    return base, ctx.table.index(sum(map(getitem, terms, [rows[i][j] for i, j in cells])))
-
-
 def colour_subspace(ctx: ColourContext, S: Subspace) -> int:
     """Colour id of one vertex; deterministic and context-pure.
 
     The colour `full_colouring` gives S, read from the same syndrome table
     and per-pivot-set cache, with no `Subspace` built and no coset family
     counted.  In the dual regime the rows are those of S's orthogonal
-    complement, in RREF (`matq._complement_of_rref`).
+    complement, brought to RREF by one elimination
+    (`matq._complement_of_rref`), not by `full_colouring`'s column walk.
     """
     p = ctx.params
     if S.q != p.q or S.n != p.n or S.m != p.m:
@@ -194,8 +187,8 @@ def colour_subspace(ctx: ColourContext, S: Subspace) -> int:
     rows, pivots = S.basis.rows, S.pivot_columns()
     if ctx.regime == DUAL:
         rows, pivots = _complement_of_rref(S.basis.field, rows, pivots)
-    base, coset = _coset_of(ctx, rows, pivots)
-    return base + coset
+    base, cells, terms = _spec(ctx, pivots)
+    return base + ctx.table.index(sum(map(getitem, terms, [rows[i][j] for i, j in cells])))
 
 
 @dataclass
@@ -297,12 +290,28 @@ class _CosetColourer:
     """`full_colouring`'s colours and the coset family counts it reports.
 
     Colours come from the context's syndrome table through `_spec`; the
-    counts, per pivot set, are kept here and reported by `families`.
+    counts, per pivot set, are kept here and reported by `families`, and so
+    are the dual regime's walk tables, for one colouring.
     """
 
     def __init__(self, ctx: ColourContext):
         self.ctx = ctx
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
+        if ctx.regime != DUAL:
+            return
+        # walk states, a trie from the empty state 0: rank, span (every
+        # vector's coordinate code), children; unit-column walks per segment
+        self._ranks, self._spans, self._children = [0], [{0: 0}], [{}]
+        self._segments: dict[tuple[int, int, int], dict] = {}
+        # _syndromes[l][a]: the terms of a complement non-pivot column l
+        # whose entries are the coordinate code a, base q, digit k in row k
+        h, terms = ctx.code.h, ctx.table.terms
+        self._syndromes = []
+        for col in range(h):
+            sums = [0]
+            for k in range(ctx.code.m):  # digit k varies slowest so far
+                sums = [a + b for a in terms[k * h + col] for b in sums]
+            self._syndromes.append(sums)
 
     def block(self, idvec: tuple[int, ...]) -> list[int]:
         """Colours of all vertices with this identifying vector, in `rref_bases` order."""
@@ -317,34 +326,92 @@ class _CosetColourer:
             family[c] = family.get(c, 0) + 1
         return [base + c for c in cosets]
 
-    def colour(self, rows: list[list[int]], pivots: tuple[int, ...]) -> int:
-        """Colour of the vertex with these RREF rows and pivots."""
-        base, c = _coset_of(self.ctx, rows, pivots)
-        family = self.counts.setdefault(pivots, {})
-        family[c] = family.get(c, 0) + 1
-        return base + c
-
     def dual_block(self, idvec: tuple[int, ...]) -> list[int]:
-        """Colours of all vertices with this identifying vector, in `rref_bases`
-        order, from the RREF rows of their orthogonal complements.
+        """`block` in the dual regime, from the RREF of each vertex's
+        orthogonal complement, found by one column walk, not by elimination.
 
-        The free-cell values, negated, fill a copy of the identifying
-        vector's `matq._complement_scaffold`, which `matq._eliminate` brings
-        to RREF in place.
+        S⊥ is spanned by the rows e_f - Σ_i S[i][f]·e_{p_i}, f the k-th
+        non-pivot of S for row k.  A column is a vector of F_q^d, d = n - m,
+        coded base q with digit k for row k: a non-pivot of S is a unit
+        code, pivot p_i holds row i's free cells, negated.  A column is an
+        RREF pivot exactly when it is outside the span of the pivot columns
+        before it, and otherwise holds its coordinates in them, which add
+        one `_syndromes` term.  The walk runs one row of S at a time over
+        a frontier of (state, pivot mask) nodes and their summed terms, so
+        vertices share it up to their first differing row.
         """
-        field = self.ctx.params.field
-        neg = _arithmetic(field)[0]
-        units, places = _complement_scaffold(len(idvec),
-                                             tuple(j for j, b in enumerate(idvec) if b))
-        places = [(k, c) for _, _, k, c in places]
-        block = []
-        for values in itertools.product([neg[v] for v in range(field.order)],
-                                        repeat=len(places)):
-            rows = [list(row) for row in units]
-            for (k, c), v in zip(places, values):
-                rows[k][c] = v
-            block.append(self.colour(rows, tuple(_eliminate(field, rows, reduced=True))))
-        return block
+        q, n = self.ctx.params.q, len(idvec)
+        neg = _arithmetic(self.ctx.params.field)[0]
+        pivots = [j for j, b in enumerate(idvec) if b]
+        ends = pivots[1:] + [n]
+        s, total, mask = self._segment(0, pivots[0], 0, 0)
+        frontier, totals = [(s, mask)], [total]
+        for i, p in enumerate(pivots):
+            codes = [0]  # column p over row i's values, the first cell slowest
+            for k in reversed(range(p - i, n - len(pivots))):
+                codes = [neg[v] * q ** k + b for v in range(q) for b in codes]
+            walks, nexts, terms = {}, {}, {}  # per state; per node
+            for node in dict.fromkeys(frontier):
+                s, mask = node
+                if s not in walks:
+                    walks[s] = [self._segment(p + 1, ends[i], i + 1, *self._step(s, p, x))
+                                for x in codes]
+                nexts[node] = [(s2, mask | dm) for s2, _, dm in walks[s]]
+                terms[node] = [dt for _, dt, _ in walks[s]]
+            totals = [t + dt for node, t in zip(frontier, totals) for dt in terms[node]]
+            frontier = [child for node in frontier for child in nexts[node]]
+        cosets = self.ctx.table.indices(totals)
+        masks = list(map(itemgetter(1), frontier))
+        bases, families = {}, {}  # per complement pivot mask
+        for mask in dict.fromkeys(masks):
+            dual_pivots = tuple(c for c in range(n) if mask >> c & 1)
+            bases[mask] = _spec(self.ctx, dual_pivots)[0]
+            families[mask] = self.counts.setdefault(dual_pivots, {})
+        for (mask, c), k in Counter(zip(masks, cosets)).items():
+            families[mask][c] = families[mask].get(c, 0) + k
+        return list(map(add, map(bases.__getitem__, masks), cosets))
+
+    def _step(self, s: int, c: int, x: int) -> tuple[int, int, int]:
+        """(state, term, pivot bit) after column c with code x, from state s."""
+        a = self._spans[s].get(x)
+        if a is None:
+            return self._grow(s, x), 0, 1 << c
+        return s, self._syndromes[c - self._ranks[s]][a], 0
+
+    def _segment(self, lo: int, hi: int, row: int, s: int, dt: int = 0, dm: int = 0
+                 ) -> tuple[int, int, int]:
+        """(state, dt plus terms, dm plus pivot bits) after the unit columns
+        lo..hi-1, which follow `row` pivots of S, from state s."""
+        if lo < hi:
+            memo = self._segments.setdefault((lo, hi, row), {})
+            if s not in memo:
+                walked, terms, bits = s, 0, 0
+                for c in range(lo, hi):
+                    walked, term, bit = self._step(walked, c, self.ctx.params.q ** (c - row))
+                    terms, bits = terms + term, bits | bit
+                memo[s] = walked, terms, bits
+            s, terms, bits = memo[s]
+            dt, dm = dt + terms, dm | bits
+        return s, dt, dm
+
+    def _grow(self, s: int, x: int) -> int:
+        """The state after state s meets the column x outside its span."""
+        child = self._children[s].get(x)
+        if child is None:
+            q, r = self.ctx.params.q, self._ranks[s]
+            neg, _, mul, sub = _arithmetic(self.ctx.params.field)
+            powers = [q ** k for k in range(self.ctx.code.m)]
+            span = {}
+            for a in range(q):  # vec + a·x, digit by digit, for each vec
+                ax = [neg[mul[a][x // w % q]] for w in powers]
+                for vec, coords in self._spans[s].items():
+                    span[sum(sub[vec // w % q][v] * w for v, w in zip(ax, powers))] = \
+                        coords + a * q ** r
+            child = self._children[s][x] = len(self._spans)
+            self._ranks.append(r + 1)
+            self._spans.append(span)
+            self._children.append({})
+        return child
 
     def families(self) -> dict[str, dict[int, int]]:
         """Coset family sizes keyed by identifying vector, as `0`/`1` text."""
@@ -360,9 +427,8 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
     Vertices are walked one identifying vector at a time, in
     `enumerate_subspaces` order.  Keys fill the identifying vector's
     `key_template`; colours come from `_CosetColourer` (direct: all at once
-    from the context's syndrome table; dual: per vertex, from the RREF rows
-    of the orthogonal complement, filled into the identifying vector's
-    complement scaffold) or are the running index (complete).  Verification
+    from the context's syndrome table; dual: from one walk over the
+    orthogonal complements' columns) or are the running index (complete).  Verification
     fingerprints the same blocks of colours (`_clash_free`); the vertices'
     RREF rows are built only to name a clash.
     """
@@ -823,8 +889,11 @@ def certificate_from_json(text: str) -> ColourCertificate:
         params = GrassmannParams(int(p["q"]), int(p["n"]), int(p["m"]), int(p["t"]))
         johnson = doc.get("johnson")
         code = doc.get("code")
-        colours = tuple(sorted((e["vertex"], int(e["colour"]))
-                               for e in doc["colours"]))
+        keys = [e["vertex"] for e in doc["colours"]]
+        texts = [e["colour"] for e in doc["colours"]]
+        if {*map(type, keys), *map(type, texts)} - {str}:
+            raise TypeError("vertex keys and colours must be strings")
+        colours = tuple(sorted(zip(keys, map(int, texts))))
         verified = doc.get("verified") or {}
         prov = doc.get("provenance") or {}
         fam = {u: {int(i): int(s) for i, s in d.items()}

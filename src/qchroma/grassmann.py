@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .ff import FieldSpec, field_for_order, prime_power
 from .matq import (MatrixFq, _complement_of_rref, gaussian_binomial,
-                   intersection_dim, is_rref, rank, rref)
+                   intersection_dim, rank, rref, rref_pivots)
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,16 @@ class Subspace:
     __slots__ = ("basis", "idvec")
 
     def __init__(self, basis: MatrixFq):
-        if not is_rref(basis):
+        pivots = rref_pivots(basis)
+        if pivots is None:
             raise ValueError("basis is not in reduced row-echelon form")
-        pivots = []
-        for row in basis.rows:
-            lead = next((j for j, v in enumerate(row) if v), None)
-            if lead is None:
-                raise ValueError("basis has a zero row")
-            pivots.append(lead)
+        if len(pivots) != basis.nrows:
+            raise ValueError("basis has a zero row")
         self.basis = basis
-        pivot_set = set(pivots)
-        self.idvec = tuple(1 if j in pivot_set else 0 for j in range(basis.ncols))
+        idvec = [0] * basis.ncols
+        for j in pivots:
+            idvec[j] = 1
+        self.idvec = tuple(idvec)
 
     @classmethod
     def from_matrix(cls, M: MatrixFq) -> "Subspace":

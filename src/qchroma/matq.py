@@ -180,23 +180,33 @@ def rank(M: MatrixFq) -> int:
     return len(_eliminate(M.field, rows, reduced=False))
 
 
+def rref_pivots(M: MatrixFq) -> tuple[int, ...] | None:
+    """The pivot columns of M's nonzero rows when M is in reduced row-echelon
+    form (zero rows trailing), else None.
+
+    A nonzero row must start with its 1, right of the row above's; a pivot
+    column must be 0 in every other row.
+    """
+    rows = M.rows
+    pivots: list[int] = []
+    for k, row in enumerate(rows):
+        if 1 not in row:
+            if any(row) or any(map(any, rows[k + 1:])):
+                return None
+            break
+        lead = row.index(1)
+        if any(row[:lead]) or (pivots and lead <= pivots[-1]):
+            return None
+        pivots.append(lead)
+    columns = list(zip(*rows))
+    if any(columns[c].count(0) != len(rows) - 1 for c in pivots):
+        return None
+    return tuple(pivots)
+
+
 def is_rref(M: MatrixFq) -> bool:
     """True when M is in reduced row-echelon form (zero rows trailing)."""
-    pivots = []
-    seen_zero_row = False
-    for row in M.rows:
-        lead = next((j for j, v in enumerate(row) if v), None)
-        if lead is None:
-            seen_zero_row = True
-            continue
-        if seen_zero_row or (pivots and lead <= pivots[-1]) or row[lead] != 1:
-            return False
-        pivots.append(lead)
-    for i, c in enumerate(pivots):
-        for r in range(len(M.rows)):
-            if r != i and M.rows[r][c] != 0:
-                return False
-    return True
+    return rref_pivots(M) is not None
 
 
 def intersection_dim(U: MatrixFq, W: MatrixFq) -> int:

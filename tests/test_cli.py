@@ -140,6 +140,23 @@ def test_validation_errors_exit_1(capsys, tmp_path):
     junk = os.path.join(tmp_path, "junk.json")
     open(junk, "w").write("not a certificate")
     assert main(["verify", "--cert", junk]) == 1
+    # keys and colours that are JSON numbers, lists or booleans, not strings
+    cert = os.path.join(tmp_path, "cert.json")
+    assert main(["colour", "--q", "2", "--n", "4", "--m", "2", "--t", "1",
+                 "--out", cert]) == 0
+    doc = json.load(open(cert))
+    one = next(e for e in doc["colours"] if e["colour"] == "1")
+    mutants = [
+        [dict(e, vertex=i) for i, e in enumerate(doc["colours"])],
+        [dict(e, vertex=[e["vertex"]]) for e in doc["colours"]],
+        [dict(e, colour=int(e["colour"]) + 0.5) if e is one else e for e in doc["colours"]],
+        [dict(e, colour=True) if e is one else e for e in doc["colours"]],
+    ]
+    for entries in mutants:
+        open(cert, "w").write(json.dumps(dict(doc, colours=entries)))
+        capsys.readouterr()
+        assert main(["verify", "--cert", cert]) == 1
+        assert "malformed certificate" in capsys.readouterr().err
     capsys.readouterr()
 
 

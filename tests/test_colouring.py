@@ -294,12 +294,15 @@ def test_unverified_certificate_roundtrips_and_can_be_checked_later():
 
 
 @pytest.mark.parametrize("p", [(2, 6, 3, 2), (4, 5, 2, 1), (9, 4, 2, 1),
-                               (2, 5, 3, 2), (3, 6, 4, 3), (2, 5, 3, 1), (4, 5, 3, 2)])
+                               (2, 5, 3, 2), (3, 6, 4, 3), (2, 5, 3, 1), (4, 5, 3, 2),
+                               (2, 7, 4, 3)])
 def test_kernel_matches_per_vertex_reference(p):
     # the certificate and `colour_subspace` both give every vertex the colour
     # of the lifting reference, class * block + `coset_index` of the unlifted
     # block (in the dual regime, of the dual), and the same coset families;
-    # in the complete regime the colour is the enumeration index
+    # in the complete regime the colour is the enumeration index.  (2,7,4,3)
+    # is the first dual graph whose complements have three rows, so the
+    # column walk meets pivots interleaved across them
     ctx = col.make_context(GrassmannParams(*p))
     cert = col.full_colouring(ctx, verify=False)
     want = {}
@@ -323,10 +326,19 @@ def test_kernel_matches_per_vertex_reference(p):
 
 
 def _counting_subspaces_and_reductions(monkeypatch) -> dict[str, int]:
-    """Count `Subspace` constructions and `GabidulinCode._reduce` calls from now on."""
-    counts = {"Subspace": 0, "_reduce": 0}
+    """Count `Subspace` constructions, `GabidulinCode._reduce` calls and
+    `matq._eliminate` calls from now on."""
+    counts = {"Subspace": 0, "_reduce": 0, "_eliminate": 0}
     init = grassmann.Subspace.__init__
     reduce = rankmetric.GabidulinCode._reduce
+    eliminate = matq._eliminate
+
+    def counted_eliminate(*args, **kwargs):
+        counts["_eliminate"] += 1
+        return eliminate(*args, **kwargs)
+    # wherever it is bound: in matq, and in colouring should it import it
+    monkeypatch.setattr(matq, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(col, "_eliminate", counted_eliminate, raising=False)
 
     def counted_init(self, basis):
         counts["Subspace"] += 1
@@ -343,12 +355,13 @@ def _counting_subspaces_and_reductions(monkeypatch) -> dict[str, int]:
 @pytest.mark.parametrize("p", [(2, 6, 3, 2), (2, 5, 3, 2), (2, 5, 3, 1)])
 def test_unverified_colouring_builds_no_subspace_and_no_coset_index(p, monkeypatch):
     # `_reduce` is the elimination behind every coset index; after the
-    # context has built its syndrome table, colouring runs none
+    # context has built its syndrome table, colouring runs none, and the
+    # dual regime's column walk brings no complement to RREF by elimination
     ctx = col.make_context(GrassmannParams(*p))
     counts = _counting_subspaces_and_reductions(monkeypatch)
     cert = col.full_colouring(ctx, verify=False)
     assert len(cert.colours) == gaussian_binomial(p[1], p[2], p[0])
-    assert counts == {"Subspace": 0, "_reduce": 0}
+    assert counts == {"Subspace": 0, "_reduce": 0, "_eliminate": 0}
 
 
 def _random_vertices(params: GrassmannParams, count: int, rng: random.Random) -> list:
@@ -370,13 +383,15 @@ def _random_vertices(params: GrassmannParams, count: int, rng: random.Random) ->
 @pytest.mark.parametrize("p", [(9, 6, 2, 1), (2, 7, 4, 2)])
 def test_point_queries_build_no_subspace_and_no_coset_index(p, monkeypatch):
     # direct over F_9 and dual over F_2: the point query reads the context's
-    # syndrome table, from the basis rows or their complement's RREF rows
+    # syndrome table, from the basis rows or their complement's RREF rows,
+    # which one elimination per dual vertex brings to RREF
     params = GrassmannParams(*p)
     ctx = col.make_context(params)
     verts = _random_vertices(params, 500, random.Random(sum(p)))
     counts = _counting_subspaces_and_reductions(monkeypatch)
     colours = [col.colour_subspace(ctx, S) for S in verts]
-    assert counts == {"Subspace": 0, "_reduce": 0}
+    assert counts == {"Subspace": 0, "_reduce": 0,
+                      "_eliminate": 500 if ctx.regime == "dual" else 0}
     monkeypatch.undo()
     for S, c in zip(verts, colours):
         u, A = rankmetric.unlift(dualize(S) if ctx.regime == "dual" else S)

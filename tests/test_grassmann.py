@@ -78,10 +78,17 @@ def test_identifying_vector_examples():
 
 
 def test_subspace_rejects_bad_basis():
-    with pytest.raises(ValueError):
-        Subspace(MatrixFq.from_indices(F2, [[0, 1], [1, 0]]))  # not RREF
-    with pytest.raises(ValueError):
-        Subspace(MatrixFq.from_indices(F2, [[1, 0], [0, 0]]))  # zero row
+    not_rref, zero_row = "not in reduced row-echelon form", "has a zero row"
+    with pytest.raises(ValueError, match=not_rref):
+        Subspace(MatrixFq.from_indices(F2, [[0, 1], [1, 0]]))  # leads out of order
+    with pytest.raises(ValueError, match=zero_row):
+        Subspace(MatrixFq.from_indices(F2, [[1, 0], [0, 0]]))  # trailing zero row
+    with pytest.raises(ValueError, match=not_rref):
+        Subspace(MatrixFq.from_indices(F2, [[0, 0, 0], [0, 1, 0]]))  # zero row above
+    with pytest.raises(ValueError, match=not_rref):
+        Subspace(MatrixFq.from_indices(field_make(3, 1), [[2, 1], [0, 0]]))  # lead 2
+    with pytest.raises(ValueError, match=not_rref):
+        Subspace(MatrixFq.from_indices(F2, [[1, 1, 0], [0, 1, 1]]))  # 1 above a pivot
     # from_matrix canonicalizes instead
     S = Subspace.from_matrix(MatrixFq.from_indices(F2, [[0, 1], [1, 0]]))
     assert S.basis == MatrixFq.identity(F2, 2)

@@ -5,7 +5,7 @@ import pytest
 from qchroma.ff import field_for_order, field_make
 from qchroma.matq import (MatrixFq, all_matrices, gaussian_binomial,
                           intersection_dim, is_rref, orthogonal_complement,
-                          rank, rref)
+                          rank, rref, rref_pivots)
 
 import naive
 
@@ -33,6 +33,16 @@ def test_rref_pivot_positions_example():
     R, pivots = rref(M)
     assert R == M and pivots == (0, 1, 3)
     assert is_rref(M)
+
+
+@pytest.mark.parametrize("q,r,c", [(2, 3, 4), (3, 3, 3), (4, 2, 3)])
+def test_rref_pivots_matches_elimination(q, r, c):
+    # M is in RREF exactly when elimination leaves it unchanged, and then
+    # its pivots are elimination's; every matrix of the shape is tried
+    for M in all_matrices(field_for_order(q), r, c):
+        R, pivots = rref(M)
+        assert rref_pivots(M) == (pivots if R == M else None)
+        assert is_rref(M) == (R == M)
 
 
 def test_rref_idempotent_and_rowspace_preserving():
