@@ -25,12 +25,12 @@ the coset index of its free cells' summed terms, read from its RREF rows
 (in the dual regime, the orthogonal complement's RREF rows).  The class
 base and the table rows of the free cells are cached per pivot set on the
 context.  `full_colouring` walks one identifying vector at a time: the
-free cells run over F_q^f in `enumerate_subspaces` order, the keys fill
-the identifying vector's `key_template`, and direct-regime colours come
-from all sums of cell terms at once.  In the dual regime the complement's
-RREF is read off its column rank profile by one walk over its columns,
-which the vertices of an identifying vector share up to their first
-differing row (`_CosetColourer.dual_block`).  A point query
+free cells run over F_q^f in `enumerate_subspaces` order, the keys come
+from `grassmann.block_keys` by prefix expansion, and direct-regime
+colours from all sums of cell terms at once.  In the dual regime the
+complement's RREF is read off its column rank profile by one walk over
+its columns, which the vertices of an identifying vector share up to
+their first differing row (`_CosetColourer.dual_block`).  A point query
 (`colour_subspace`) reads the same tables for one vertex; in the dual
 regime it eliminates the complement's scaffold
 (`matq._complement_of_rref`), which for one vertex costs less than the
@@ -45,14 +45,14 @@ a t-subspace, so no colour class may repeat a t-subspace fingerprint.
 Certificates serialize to a single JSON document with all integers as
 decimal strings; byte-identical across runs for equal inputs.  The bytes
 are those of `json.dumps(doc, indent=1, sort_keys=True)`, but
-`certificate_to_json` writes the `colours` array itself, one f-string per
-entry with the key escaped as `json.dumps` escapes it, and splices it into
-a dump of the rest of the document.
+`certificate_to_json` writes the `colours` array (one f-string per entry,
+the key escaped as `json.dumps` escapes it) and `family_sizes` itself and
+splices them into a dump of the rest of the document.
 
 `verify_properness` decides acceptance by blocks, one identifying vector
 at a time, as `full_colouring` builds a certificate.  Coverage is by
 lookup: V entries with V distinct keys, among them every vertex's key as
-its identifying vector's `key_template` renders it.  Properness is by
+`block_keys` renders its identifying vector.  Properness is by
 sorting: a fingerprint row r·B is F_q-linear in B's free cells, so the
 rows of a whole block come from all sums of per-cell terms at once, and
 each (colour, t-subspace) pair of every vertex becomes one integer; the
@@ -78,10 +78,10 @@ from json.encoder import encode_basestring_ascii as _json_string
 from operator import add, eq, getitem, itemgetter, mul
 from typing import Iterable, Sequence
 
-from .grassmann import (GrassmannParams, Subspace, decode_subspace,
+from .grassmann import (GrassmannParams, Subspace, block_keys, decode_subspace,
                         degree_formula, encode_subspace, entry_texts,
-                        enumerate_subspaces, enumeration_index, free_cells,
-                        key_template, rref_bases, weight_vectors_lex)
+                        enumeration_index, free_cells, key_template, rref_bases,
+                        weight_vectors_lex)
 from .johnson import (JohnsonColouring, check_method, colour_clash, gs_fits_desk,
                       johnson_bounds, johnson_colouring)
 from .matq import (MatrixFq, PackedFp, _arithmetic, _complement_of_rref,
@@ -425,28 +425,24 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
     """Colour every vertex; verify properness by default at desk scale.
 
     Vertices are walked one identifying vector at a time, in
-    `enumerate_subspaces` order.  Keys fill the identifying vector's
-    `key_template`; colours come from `_CosetColourer` (direct: all at once
-    from the context's syndrome table; dual: from one walk over the
-    orthogonal complements' columns) or are the running index (complete).  Verification
-    fingerprints the same blocks of colours (`_clash_free`); the vertices'
-    RREF rows are built only to name a clash.
+    `enumerate_subspaces` order, with keys from `block_keys`.  Colours come
+    from `_CosetColourer` (direct: all at once from the context's syndrome
+    table; dual: from one walk over the orthogonal complements' columns) or
+    are the running index (complete).  Verification fingerprints the same
+    blocks of colours (`_clash_free`); the vertices' RREF rows are built
+    only to name a clash.
     """
     params = ctx.params
     total = check_vertex_cap(params, vertex_cap)
     if verify is None:
         verify = total <= AUTO_VERIFY_LIMIT
 
-    field = params.field
-    texts = entry_texts(field)
     colourer = None if ctx.regime == COMPLETE else _CosetColourer(ctx)
     entries: list[tuple[str, int]] = []
     colours: list[int] = []
     blocks: list = []  # per identifying vector, kept only to verify
     for idvec in weight_vectors_lex(params.n, params.m):
-        template = key_template(field, idvec)
-        keys = [template.format(*values) for values in
-                itertools.product(texts, repeat=len(free_cells(idvec)))]
+        keys = block_keys(params.field, idvec)
         if ctx.regime == COMPLETE:
             block = range(len(colours), len(colours) + len(keys))
         elif ctx.regime == DIRECT:
@@ -747,15 +743,15 @@ def verify_properness(cert: ColourCertificate) -> VerificationReport:
 
     Acceptance is decided one identifying vector at a time, as
     `full_colouring` builds a certificate.  The certificate must hold V
-    entries with V distinct keys, and every vertex's key, rendered from its
-    identifying vector's `key_template`, must be among them; then the key
-    set is exactly the Grassmannian's.  Coverage is checked for every vertex
-    before anything is skipped.  If all V colours are distinct the
-    colouring is proper; otherwise `_clash_free` fingerprints each block of
-    colours.  No key is parsed and no `Subspace` is built.  `pairs_checked`
-    is the C(V, 2) pairs the verdict certifies.  A certificate that fails
-    either check is refused by `_verify_by_keys`, which names what is
-    missing or unexpected, or the clashing pair and its witness.
+    entries with V distinct keys, and every vertex's key, rendered by
+    `block_keys`, must be among them; then the key set is exactly the
+    Grassmannian's.  Coverage is checked for every vertex before anything
+    is skipped.  If all V colours are distinct the colouring is proper;
+    otherwise `_clash_free` fingerprints each block of colours.  No key is
+    parsed and no `Subspace` is built.  `pairs_checked` is the C(V, 2)
+    pairs the verdict certifies.  A certificate that fails either check is
+    refused by `_verify_by_keys`, which names what is missing or
+    unexpected, or the clashing pair and its witness.
     """
     params = cert.params
     declared = params.vertex_count()
@@ -770,18 +766,14 @@ def verify_properness(cert: ColourCertificate) -> VerificationReport:
 def _colour_blocks(params: GrassmannParams, entries: tuple[tuple[str, int], ...]
                    ) -> list[list[int]] | None:
     """The colour of every vertex, one list per identifying vector, in
-    `enumerate_subspaces` order, read by the key `key_template` renders for
-    it; None unless the entries' keys are distinct and hold every vertex's."""
+    `enumerate_subspaces` order, read by its `block_keys` key; None unless
+    the entries' keys are distinct and hold every vertex's."""
     colour_of = dict(entries)
     if len(colour_of) != len(entries):
         return None
-    field = params.field
-    texts = entry_texts(field)
     try:
-        return [list(map(colour_of.__getitem__, itertools.starmap(
-            key_template(field, idvec).format,
-            itertools.product(texts, repeat=len(free_cells(idvec))))))
-            for idvec in weight_vectors_lex(params.n, params.m)]
+        return [list(map(colour_of.__getitem__, block_keys(params.field, idvec)))
+                for idvec in weight_vectors_lex(params.n, params.m)]
     except KeyError:
         return None
 
@@ -801,7 +793,6 @@ def _verify_by_keys(cert: ColourCertificate) -> VerificationReport:
     certifies, and 0 when it refuses.
     """
     params = cert.params
-    shape = (params.q, params.n, params.m)
     parser = _KeyParser(params)
     seen: set[str] = set()
     invalid: list[str] = []
@@ -820,7 +811,8 @@ def _verify_by_keys(cert: ColourCertificate) -> VerificationReport:
         # every key in `seen` is an expected key, so only `invalid` is unexpected
         missing = ()
         if declared - len(cert.colours) <= MISSING_LIST_SLACK:
-            expected = {encode_subspace(S) for S in enumerate_subspaces(*shape)}
+            expected = {key for idvec in weight_vectors_lex(params.n, params.m)
+                        for key in block_keys(params.field, idvec)}
             missing = tuple(sorted(expected - seen))
         return VerificationReport(False, 0, None, False, missing,
                                   tuple(sorted(set(invalid))),
@@ -850,9 +842,10 @@ def certificate_to_json(cert: ColourCertificate) -> str:
 
     The `colours` array is rendered one f-string per entry, with each key
     escaped by `encode_basestring_ascii`, as `json.dumps` escapes every
-    string; the rest of the document is dumped with an empty array, which
-    the rendered one replaces.  With `indent` set, `json.dumps` cannot use
-    its C encoder, so dumping V entry dicts would walk them in Python.
+    string, and so is `provenance.family_sizes`; the rest of the document
+    is dumped with both empty, and the rendered ones replace them.  With
+    `indent` set, `json.dumps` cannot use its C encoder, so dumping V entry
+    dicts would walk them in Python.
     """
     doc = {
         "params": {"q": str(cert.params.q), "n": str(cert.params.n),
@@ -869,11 +862,18 @@ def certificate_to_json(cert: ColourCertificate) -> str:
                      "pairs_checked": str(cert.pairs_checked)},
         "provenance": {
             "palette_used": str(cert.palette_used),
-            "family_sizes": {u: {str(i): str(s) for i, s in sorted(fam.items())}
-                             for u, fam in sorted(cert.family_sizes.items())},
+            "family_sizes": {},
         },
     }
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    families = []  # one string per family, its coset ids sorted as strings
+    for u, fam in sorted(cert.family_sizes.items()):
+        sizes = [f'    "{i}": "{s}"' for i, s in sorted(zip(map(str, fam), fam.values()))]
+        body = "{\n" + ",\n".join(sizes) + "\n   }" if sizes else "{}"
+        families.append(f"   {_json_string(u)}: {body}")
+    if families:  # the only `{}` at this depth with this key
+        text = text.replace('\n  "family_sizes": {},\n',
+                            '\n  "family_sizes": {\n' + ",\n".join(families) + "\n  },\n", 1)
     if not cert.colours:
         return text
     # a string value holds no raw newline, so this is the top-level key

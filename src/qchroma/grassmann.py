@@ -9,8 +9,8 @@ Enumeration is deterministic: identifying vectors ascend lexicographically
 and, within one identifying vector, the free entries of the basis count up
 in row-major base-q order (`rref_bases`).  Certificates refer to vertices
 through the canonical text encoding produced by `encode_subspace`;
-`key_template` renders the same text once per identifying vector, with a
-slot per free entry, for callers that walk a whole identifying vector.
+`block_keys` renders the keys of a whole identifying vector at once, from
+the literal segments between its free entries (`key_segments`).
 """
 
 from __future__ import annotations
@@ -252,11 +252,12 @@ def entry_texts(field: FieldSpec) -> list[str]:
     return [_entry_to_text(field, v) for v in range(field.order)]
 
 
-def key_template(field: FieldSpec, idvec: Sequence[int]) -> str:
-    """`encode_subspace` of the RREF bases with pivots `idvec`, as a format string.
+def key_segments(field: FieldSpec, idvec: Sequence[int]) -> list[str]:
+    """`encode_subspace` of the RREF bases with pivots `idvec`, cut at the free cells.
 
-    The pivot 1s and the forced 0s are rendered; each free cell is a `{}`
-    slot, in `free_cells` order, to be filled from `entry_texts`.
+    The pivot 1s and the forced 0s are rendered; the text between two free
+    cells, in `free_cells` order, is one segment, so there is one segment
+    more than free cells.
     """
     zero, one = _entry_to_text(field, 0), _entry_to_text(field, 1)
     pivots = [j for j, b in enumerate(idvec) if b]
@@ -264,8 +265,27 @@ def key_template(field: FieldSpec, idvec: Sequence[int]) -> str:
     for i, p in enumerate(pivots):
         rows[i][p] = one
     for i, j in free_cells(idvec):
-        rows[i][j] = "{}"
-    return _render_key(field.order, len(idvec), len(pivots), rows)
+        rows[i][j] = "\0"  # no entry text holds a NUL
+    return _render_key(field.order, len(idvec), len(pivots), rows).split("\0")
+
+
+def key_template(field: FieldSpec, idvec: Sequence[int]) -> str:
+    """`key_segments` as a format string, a `{}` slot per free cell."""
+    return "{}".join(key_segments(field, idvec))
+
+
+def block_keys(field: FieldSpec, idvec: Sequence[int]) -> list[str]:
+    """The keys of every RREF basis with pivots `idvec`, in `rref_bases` order.
+
+    Built by prefix expansion: each free cell extends every partial key by
+    each `entry_texts` text and the literal segment after the cell.
+    """
+    head, *segments = key_segments(field, idvec)
+    keys, texts = [head], entry_texts(field)
+    for segment in segments:  # the first cell varies slowest
+        tails = [text + segment for text in texts]
+        keys = [key + tail for key in keys for tail in tails]
+    return keys
 
 
 def decode_subspace(text: str) -> Subspace:

@@ -1,6 +1,6 @@
 """Deliberately naive reference implementations used as independent oracles.
 
-Everything here but the verifier, writer and saturation-search references
+Everything here but the verifier, key, writer and saturation-search references
 at the end models a subspace as the frozen set of ALL its vectors
 (coordinate tuples) and never touches echelon forms, so agreement with the
 library is meaningful evidence rather than a tautology.
@@ -11,7 +11,8 @@ import json
 
 from qchroma.ff import field_for_order
 from qchroma.grassmann import (Subspace, decode_subspace, encode_subspace,
-                               rref_bases, weight_vectors_lex)
+                               entry_texts, free_cells, key_template, rref_bases,
+                               weight_vectors_lex)
 from qchroma.johnson import colour_clash
 from qchroma.matq import MatrixFq
 
@@ -216,7 +217,15 @@ def tuple_clash(keys, colours, params):
     return (keys[i], keys[j], dim), witness
 
 
-# -- reference certificate writer ---------------------------------------------
+# -- reference key and certificate writers -------------------------------------
+
+def template_keys(field, idvec):
+    """The keys of one identifying vector, one `str.format` of its
+    `key_template` per vertex over `itertools.product` of the entry texts."""
+    template = key_template(field, idvec)
+    return [template.format(*values) for values in
+            itertools.product(entry_texts(field), repeat=len(free_cells(idvec)))]
+
 
 def _stringify(value):
     if isinstance(value, bool) or value is None or isinstance(value, str):

@@ -235,6 +235,24 @@ def test_writer_matches_json_dumps_on_odd_keys_and_an_empty_array():
     assert '\n "colours": [],\n' in col.certificate_to_json(empty)
 
 
+def test_writer_renders_family_sizes_as_json_dumps():
+    # direct; dual with families of up to 16 cosets, whose ids sort as strings
+    # ("10" before "2"); complete, with no families; each after a round trip
+    certs = [col.full_colouring(col.make_context(GrassmannParams(*p)), verify=False)
+             for p in ((2, 5, 2, 1), (2, 6, 4, 3), (2, 5, 3, 1))]
+    assert [cert.regime for cert in certs] == ["direct", "dual", "complete"]
+    assert max(map(len, certs[1].family_sizes.values())) >= 10
+    assert certs[2].family_sizes == {}
+    odd = dataclasses.replace(_hand_built_certificate(()), family_sizes={
+        '"\\é': {10: 1, 2: 3, 0: 5}, "": {}, "01": {1: 12}})
+    for cert in certs + [odd]:
+        text = col.certificate_to_json(cert)
+        assert text == naive.naive_certificate_to_json(cert)
+        again = col.certificate_from_json(text)
+        assert again.family_sizes == cert.family_sizes
+        assert col.certificate_to_json(again) == naive.naive_certificate_to_json(again) == text
+
+
 def test_verify_properness_detects_tampering():
     cert = col.full_colouring(col.make_context(GrassmannParams(2, 4, 2, 1)))
     entries = list(cert.colours)
@@ -821,6 +839,27 @@ def test_accepted_certificate_builds_no_subspace_and_no_key_round_trip(monkeypat
     rep = col.verify_properness(cert)
     assert rep.proper and rep.pairs_checked == 1395 * 1394 // 2
     assert counts == {"Subspace": 0, "decode_subspace": 0, "encode_subspace": 0}
+
+
+@pytest.mark.parametrize("p", [(2, 6, 3, 2), (4, 5, 2, 1), (2, 7, 4, 2), (2, 5, 3, 1)])
+def test_keys_are_rendered_once_per_identifying_vector(p, monkeypatch):
+    # colouring (verified) and accepting a certificate each call `block_keys`
+    # once per identifying vector, and render no key from a format string
+    params = GrassmannParams(*p)
+    ctx = col.make_context(params)
+    counts = dict.fromkeys(("block_keys", "key_template"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(grassmann, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(grassmann, name, counted)
+        monkeypatch.setattr(col, name, counted)
+    idvecs = len(grassmann.weight_vectors_lex(params.n, params.m))
+    cert = col.full_colouring(ctx, verify=True)
+    assert cert.proper and counts == {"block_keys": idvecs, "key_template": 0}
+    counts.update(dict.fromkeys(counts, 0))
+    assert col.verify_properness(cert).proper
+    assert counts == {"block_keys": idvecs, "key_template": 0}
 
 
 def _adjacent_pair_mutant(keys, colours, params, rng):

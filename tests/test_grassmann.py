@@ -1,11 +1,11 @@
 import pytest
 
-from qchroma.ff import field_make
+from qchroma.ff import field_for_order, field_make
 from qchroma.grassmann import (GrassmannParams, Subspace, _entry_from_text,
-                               _entry_to_text, adjacent, decode_subspace,
+                               _entry_to_text, adjacent, block_keys, decode_subspace,
                                degree_formula, dualize, encode_subspace,
-                               enumerate_subspaces, enumeration_index,
-                               identifying_vector, weight_vectors_lex)
+                               enumerate_subspaces, enumeration_index, free_cells,
+                               identifying_vector, rref_bases, weight_vectors_lex)
 from qchroma.matq import MatrixFq, gaussian_binomial, intersection_dim
 
 import naive
@@ -193,3 +193,22 @@ def test_decode_rejects_malformed_keys():
                 "q=2;n=2;m=2;rows=[[0,1],[1,0]]"]:
         with pytest.raises(ValueError):
             decode_subspace(bad)
+
+
+@pytest.mark.parametrize("q, shapes", [
+    (2, [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (5, 3)]),
+    (3, [(2, 1), (3, 2), (4, 2)]),
+    (4, [(2, 1), (3, 2), (4, 2)]),
+    (9, [(2, 1), (3, 1), (3, 2)]),    # two-digit entry texts
+    (11, [(2, 1), (3, 1), (3, 2)]),   # the entry text "10"
+])
+def test_block_keys_match_template_rendering_and_encode_subspace(q, shapes):
+    field = field_for_order(q)
+    for n, m in shapes:
+        idvecs = weight_vectors_lex(n, m)
+        assert not free_cells(idvecs[0])  # the pivots at the right end
+        for idvec in idvecs:
+            keys = block_keys(field, idvec)
+            assert keys == naive.template_keys(field, idvec)
+            assert keys == [encode_subspace(Subspace(MatrixFq(field, rows)))
+                            for rows in rref_bases(q, idvec)]
