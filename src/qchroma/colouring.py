@@ -31,10 +31,11 @@ colours from all sums of cell terms at once.  In the dual regime the
 complement's RREF is read off its column rank profile by one walk over
 its columns, which the vertices of an identifying vector share up to
 their first differing row (`_CosetColourer.dual_block`).  A point query
-(`colour_subspace`) reads the same tables for one vertex; in the dual
-regime it eliminates the complement's scaffold
-(`matq._complement_of_rref`), which for one vertex costs less than the
-walk's tables.  In the complete regime the colour is the running index.
+(`colour_subspace`) reads the same tables for one vertex.  In the dual
+regime over F_2 it walks the complement's columns packed as integers,
+reducing each by XOR (`_colour_dual_f2`); over other fields it eliminates
+the complement's scaffold (`matq._complement_of_rref`).  In the complete
+regime the colour is the running index.
 `rankmetric.unlift` plus `rankmetric.coset_index` is the reference the
 tests compare both paths against.
 
@@ -118,6 +119,8 @@ class ColourContext:
     table: SyndromeTable | None = field(repr=False, compare=False)  # the code's, built once
     # per pivot set: colour base, free cells and their table rows (`_spec`)
     _specs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # dual regime: the terms of each complement non-pivot column (`_dual_syndromes`)
+    _syndromes: list | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def make_context(params: GrassmannParams, johnson_method: str = "greedy") -> ColourContext:
@@ -170,14 +173,66 @@ def _spec(ctx: ColourContext, pivots: tuple[int, ...]
     return spec
 
 
+def _dual_syndromes(ctx: ColourContext) -> list[list[int]]:
+    """_syndromes[l][a]: the summed terms of a complement non-pivot column l
+    whose entries are the coordinate code a, base q, digit k in row k.
+
+    Cached on the context, like `_spec`, for the column walks of
+    `_CosetColourer.dual_block` and `_colour_dual_f2`.  Over F_2 its
+    h·2^(n-m) entries are at most about twice `class_of_idvec`'s.
+    """
+    if ctx._syndromes is None:
+        h, terms = ctx.code.h, ctx.table.terms
+        ctx._syndromes = []
+        for col in range(h):
+            sums = [0]
+            for k in range(ctx.code.m):  # digit k varies slowest so far
+                sums = [a + b for a in terms[k * h + col] for b in sums]
+            ctx._syndromes.append(sums)
+    return ctx._syndromes
+
+
+def _colour_dual_f2(ctx: ColourContext, rows: tuple[tuple[int, ...], ...],
+                    pivots: tuple[int, ...]) -> int:
+    """`colour_subspace` of a dual-regime vertex over F_2, with no elimination.
+
+    The complement's RREF is read off its column rank profile, as in
+    `_CosetColourer.dual_block`, by one walk over the columns of the rows
+    spanning S⊥, each an int with bit 8f for the row of S's non-pivot f: a
+    unit at a non-pivot, row i of S without its pivot 1 at pivot p_i (over
+    F_2, -x = x).  Each column is reduced by XOR against the complement
+    pivots found before it, each with the mask of the columns it sums, bit
+    r for the r-th pivot.  A column left nonzero is a pivot; one reduced to
+    0 has as coordinate code the XOR of the masks used.
+    """
+    syndromes = _dual_syndromes(ctx)
+    columns = [1 << 8 * c for c in range(ctx.params.n)]
+    for row, p in zip(rows, pivots):
+        columns[p] ^= int.from_bytes(bytes(row), "little")
+    found, dual_pivots, total = [], [], 0  # found: (lowest bit, column, mask)
+    for c, x in enumerate(columns):
+        a = 0
+        for low, y, mask in found:
+            if x & low:
+                x ^= y
+                a ^= mask
+        if x:
+            found.append((x & -x, x, a ^ 1 << len(found)))
+            dual_pivots.append(c)
+        else:
+            total += syndromes[c - len(found)][a]
+    return _spec(ctx, tuple(dual_pivots))[0] + ctx.table.index(total)
+
+
 def colour_subspace(ctx: ColourContext, S: Subspace) -> int:
     """Colour id of one vertex; deterministic and context-pure.
 
     The colour `full_colouring` gives S, read from the same syndrome table
     and per-pivot-set cache, with no `Subspace` built and no coset family
     counted.  In the dual regime the rows are those of S's orthogonal
-    complement, brought to RREF by one elimination
-    (`matq._complement_of_rref`), not by `full_colouring`'s column walk.
+    complement in RREF: over F_2 read off one walk over its columns
+    (`_colour_dual_f2`), over other fields brought there by one elimination
+    (`matq._complement_of_rref`).
     """
     p = ctx.params
     if S.q != p.q or S.n != p.n or S.m != p.m:
@@ -186,6 +241,8 @@ def colour_subspace(ctx: ColourContext, S: Subspace) -> int:
         return enumeration_index(S)
     rows, pivots = S.basis.rows, S.pivot_columns()
     if ctx.regime == DUAL:
+        if p.q == 2:
+            return _colour_dual_f2(ctx, rows, pivots)
         rows, pivots = _complement_of_rref(S.basis.field, rows, pivots)
     base, cells, terms = _spec(ctx, pivots)
     return base + ctx.table.index(sum(map(getitem, terms, [rows[i][j] for i, j in cells])))
@@ -291,7 +348,7 @@ class _CosetColourer:
 
     Colours come from the context's syndrome table through `_spec`; the
     counts, per pivot set, are kept here and reported by `families`, and so
-    are the dual regime's walk tables, for one colouring.
+    are the dual regime's walk states, for one colouring.
     """
 
     def __init__(self, ctx: ColourContext):
@@ -303,15 +360,7 @@ class _CosetColourer:
         # vector's coordinate code), children; unit-column walks per segment
         self._ranks, self._spans, self._children = [0], [{0: 0}], [{}]
         self._segments: dict[tuple[int, int, int], dict] = {}
-        # _syndromes[l][a]: the terms of a complement non-pivot column l
-        # whose entries are the coordinate code a, base q, digit k in row k
-        h, terms = ctx.code.h, ctx.table.terms
-        self._syndromes = []
-        for col in range(h):
-            sums = [0]
-            for k in range(ctx.code.m):  # digit k varies slowest so far
-                sums = [a + b for a in terms[k * h + col] for b in sums]
-            self._syndromes.append(sums)
+        self._syndromes = _dual_syndromes(ctx)
 
     def block(self, idvec: tuple[int, ...]) -> list[int]:
         """Colours of all vertices with this identifying vector, in `rref_bases` order."""
@@ -321,9 +370,7 @@ class _CosetColourer:
         for row in reversed(terms):  # the first cell varies slowest
             totals = [a + b for a in row for b in totals]
         cosets = self.ctx.table.indices(totals)
-        family = self.counts.setdefault(pivots, {})
-        for c in cosets:
-            family[c] = family.get(c, 0) + 1
+        self.counts.setdefault(pivots, Counter()).update(cosets)
         return [base + c for c in cosets]
 
     def dual_block(self, idvec: tuple[int, ...]) -> list[int]:
@@ -366,9 +413,9 @@ class _CosetColourer:
         for mask in dict.fromkeys(masks):
             dual_pivots = tuple(c for c in range(n) if mask >> c & 1)
             bases[mask] = _spec(self.ctx, dual_pivots)[0]
-            families[mask] = self.counts.setdefault(dual_pivots, {})
+            families[mask] = self.counts.setdefault(dual_pivots, Counter())
         for (mask, c), k in Counter(zip(masks, cosets)).items():
-            families[mask][c] = families[mask].get(c, 0) + k
+            families[mask][c] += k
         return list(map(add, map(bases.__getitem__, masks), cosets))
 
     def _step(self, s: int, c: int, x: int) -> tuple[int, int, int]:

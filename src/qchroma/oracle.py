@@ -211,7 +211,13 @@ class _Budget:
 
 
 def max_clique(g: DenseGraph, budget: int = DEFAULT_BUDGET) -> CliqueResult:
-    """Branch and bound with greedy colouring bounds (exact within budget)."""
+    """Branch and bound with greedy colouring bounds (exact within budget).
+
+    A negative budget is refused with ValueError; `exact_chromatic` runs
+    this search first, so it refuses one too.
+    """
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     n = g.num_vertices
     if n == 0:
         return CliqueResult(0, (), True, 0)

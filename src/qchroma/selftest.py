@@ -285,15 +285,27 @@ def _palette_within_bound(rng: random.Random) -> str:
 
 
 def _duality_consistency(rng: random.Random) -> str:
-    params = gr.GrassmannParams(2, 5, 3, 2)
-    ctx = col.make_context(params)
-    dual = col.make_context(gr.GrassmannParams(2, 5, 2, 1))
-    for S in gr.enumerate_subspaces(2, 5, 3):
-        via_dual = col.colour_subspace(ctx, S)
-        direct = col.colour_subspace(dual, gr.dualize(S))
-        if via_dual != direct:
-            return "dual-regime colour disagrees with the pulled-back colour"
+    # every vertex of J_2(5,3,2), then random vertices of J_2(11,7,5), whose
+    # complements have four rows, and of J_3(5,3,2), which is not over F_2
+    for p, samples in (((2, 5, 3, 2), 0), ((2, 11, 7, 5), 200), ((3, 5, 3, 2), 200)):
+        params = gr.GrassmannParams(*p)
+        ctx = col.make_context(params)
+        dual = col.make_context(params.dual())
+        verts = ([_random_vertex(params, rng) for _ in range(samples)] if samples
+                 else gr.enumerate_subspaces(*p[:3]))
+        for S in verts:
+            if col.colour_subspace(ctx, S) != col.colour_subspace(dual, gr.dualize(S)):
+                return f"dual-regime colour disagrees with the pulled-back colour at {p}"
     return ""
+
+
+def _random_vertex(params: gr.GrassmannParams, rng: random.Random) -> gr.Subspace:
+    """The row space of a random identifying vector lifted with a random block."""
+    q, n, m = params.q, params.n, params.m
+    ones = rng.sample(range(n), m)
+    A = MatrixFq(params.field, tuple(tuple(rng.randrange(q) for _ in range(n - m))
+                                     for _ in range(m)))
+    return gr.Subspace.from_matrix(rm.lift([int(j in ones) for j in range(n)], A))
 
 
 def _clique_witness(rng: random.Random) -> str:

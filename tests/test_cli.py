@@ -136,6 +136,10 @@ def test_validation_errors_exit_1(capsys, tmp_path):
     assert main(["colour", "--q", "6", "--n", "4", "--m", "2", "--t", "1"]) == 1
     assert main(["colour", "--q", "2", "--n", "4", "--m", "2", "--t", "2"]) == 1
     assert main(["bounds", "--q", "2", "--n", "2", "--m", "2", "--t", "1"]) == 1
+    capsys.readouterr()
+    assert main(["oracle", "--q", "2", "--n", "4", "--m", "2", "--t", "1",
+                 "--budget", "-5"]) == 1
+    assert "budget" in capsys.readouterr().err
     assert main(["verify", "--cert", "/nonexistent/path.json"]) == 1
     junk = os.path.join(tmp_path, "junk.json")
     open(junk, "w").write("not a certificate")

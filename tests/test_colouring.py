@@ -71,6 +71,13 @@ def test_colour_subspace_validates_membership():
     alien = next(iter(enumerate_subspaces(2, 5, 2)))
     with pytest.raises(ValueError):
         col.colour_subspace(ctx, alien)
+    # a dual context over F_2 checks the shape before its column walk
+    ctx = col.make_context(GrassmannParams(2, 7, 4, 2))
+    for alien in (next(iter(enumerate_subspaces(2, 7, 3))),
+                  next(iter(enumerate_subspaces(2, 8, 4))),
+                  next(iter(enumerate_subspaces(3, 7, 4)))):
+        with pytest.raises(ValueError):
+            col.colour_subspace(ctx, alien)
 
 
 def test_same_colour_same_idvec_means_same_coset_family():
@@ -398,18 +405,20 @@ def _random_vertices(params: GrassmannParams, count: int, rng: random.Random) ->
     return verts
 
 
-@pytest.mark.parametrize("p", [(9, 6, 2, 1), (2, 7, 4, 2)])
+@pytest.mark.parametrize("p", [(9, 6, 2, 1), (2, 7, 4, 2), (2, 11, 7, 5), (3, 5, 3, 2)])
 def test_point_queries_build_no_subspace_and_no_coset_index(p, monkeypatch):
-    # direct over F_9 and dual over F_2: the point query reads the context's
-    # syndrome table, from the basis rows or their complement's RREF rows,
-    # which one elimination per dual vertex brings to RREF
+    # the point query reads the context's syndrome table, from the basis
+    # rows (direct, over F_9) or their complement's RREF rows (dual): over
+    # F_2 read off one column walk, so with no elimination, and over F_3
+    # brought to RREF by one elimination per vertex.  The complements of
+    # J_2(11,7,5) have four rows
     params = GrassmannParams(*p)
     ctx = col.make_context(params)
     verts = _random_vertices(params, 500, random.Random(sum(p)))
     counts = _counting_subspaces_and_reductions(monkeypatch)
     colours = [col.colour_subspace(ctx, S) for S in verts]
     assert counts == {"Subspace": 0, "_reduce": 0,
-                      "_eliminate": 500 if ctx.regime == "dual" else 0}
+                      "_eliminate": 500 if ctx.regime == "dual" and p[0] != 2 else 0}
     monkeypatch.undo()
     for S, c in zip(verts, colours):
         u, A = rankmetric.unlift(dualize(S) if ctx.regime == "dual" else S)

@@ -169,6 +169,14 @@ def test_chromatic_budget_degrades_to_bracket():
     assert res.lower <= 7 <= res.upper
     with pytest.raises(ValueError):
         res.value
+    # budget 0 expands nothing; a negative budget is refused, on any graph
+    zero = exact_chromatic(g, budget=0)
+    assert (zero.lower, zero.upper, zero.exact, zero.nodes) == (0, 7, False, 0)
+    for graph in (g, dense_graph([], lambda i, j: False)):
+        with pytest.raises(ValueError, match="budget"):
+            max_clique(graph, budget=-1)
+        with pytest.raises(ValueError, match="budget"):
+            exact_chromatic(graph, budget=-5)
 
 
 def test_oracle_determinism():
