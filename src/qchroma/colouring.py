@@ -475,9 +475,10 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
     `enumerate_subspaces` order, with keys from `block_keys`.  Colours come
     from `_CosetColourer` (direct: all at once from the context's syndrome
     table; dual: from one walk over the orthogonal complements' columns) or
-    are the running index (complete).  Verification fingerprints the same
-    blocks of colours (`_clash_free`); the vertices' RREF rows are built
-    only to name a clash.
+    are the running index (complete).  Verification is the verifier's
+    block verdict on the same blocks of colours (`_clash_of_blocks`), and a
+    clash is named from the key-sorted entries, as `verify_properness` names
+    it in the certificate.
     """
     params = ctx.params
     total = check_vertex_cap(params, vertex_cap)
@@ -501,16 +502,15 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
         if verify:
             blocks.append(block)
 
+    entries.sort()  # keys are distinct, so this is the key order
     palette_used = len(set(colours))
     proper: bool | None = None
     pairs_checked = 0
     if verify:
-        if palette_used < total and not _clash_free(params, blocks):
-            bases = [rows for idvec in weight_vectors_lex(params.n, params.m)
-                     for rows in rref_bases(params.q, idvec)]
-            cex, witness = _find_clash(bases, colours, params)
+        clash = _clash_of_blocks(params, blocks, entries)
+        if clash is not None:
             raise AssertionError(f"construction produced an improper colouring: "
-                                 f"{cex}, sharing {witness}")
+                                 f"{clash[0]}, sharing {clash[1]}")
         proper, pairs_checked = True, total * (total - 1) // 2
 
     bounds = bounds_report(params, ctx.johnson.method if ctx.johnson else "greedy",
@@ -521,7 +521,6 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
     if ctx.code is not None:
         code_params = {"q": ctx.code.q, "m": ctx.code.m, "h": ctx.code.h,
                        "d": ctx.code.d, "distance_verified": ctx.distance_verified}
-    entries.sort()  # keys are distinct, so this is the key order
     return ColourCertificate(
         params=params, regime=ctx.regime,
         johnson_method=ctx.johnson.method if ctx.johnson else None,
@@ -614,11 +613,6 @@ class _Fingerprints:
         vecs = self.packed.fold_all(totals)
         return zip(*[map(vecs.__getitem__, column) for column in self.columns])
 
-    def of_rows(self, rows: tuple[tuple[int, ...], ...]) -> Iterable[tuple[int, ...]]:
-        """The fingerprints of the vertex with these RREF rows."""
-        pivots = tuple(row.index(1) for row in rows)
-        return self.of(pivots, [rows[i][j] for i, j in self._spec(pivots)[0]])
-
     def block(self, idvec: tuple[int, ...], complement: bool = False) -> list[list[int]]:
         """Per row r of `coeff_rows`, the folded r·B of every vertex with
         this identifying vector, in `rref_bases` order.
@@ -672,36 +666,50 @@ class _Fingerprints:
         return Subspace(MatrixFq(self.field, tuple(rows)))
 
 
-def _named_clash(fp: _Fingerprints, clash, subspace_of
+def _first_clash(params: GrassmannParams, entries: Sequence[tuple[str, int]]
                  ) -> tuple[tuple[str, str, int], str] | None:
-    """((key S, key T, dim), witness key) of a `colour_clash` result, or None.
+    """((key S, key T, dim), witness key) of the first clash among these
+    (key, colour) entries, or None when no two vertices of one colour are
+    adjacent.
 
-    Only the reported pair's intersection is computed, and only it and the
-    shared t-subspace are built as `Subspace`s.
+    dim(S ∩ T) >= t holds exactly when S and T share a t-subspace, so
+    `colour_clash` hashes the vertices' fingerprints (`_Fingerprints.of`)
+    per colour class, classes and members in the entries' order.  A vertex
+    is parsed (`_KeyParser`) only when `colour_clash` asks for its
+    fingerprints, so a class of one is never parsed; every key must be a
+    canonical key of this graph.  Only the reported pair is decoded, for its
+    intersection dimension, and only the shared t-subspace is built.
     """
+    parse, fp = _KeyParser(params).parse, _Fingerprints(params)
+    clash = colour_clash([c for _, c in entries], lambda i: fp.of(*parse(entries[i][0])))
     if clash is None:
         return None
     i, j, shared = clash
-    S, T = subspace_of(i), subspace_of(j)
-    dim = intersection_dim(S.basis, T.basis)
-    return (encode_subspace(S), encode_subspace(T), dim), encode_subspace(fp.subspace(shared))
+    a, b = entries[i][0], entries[j][0]
+    dim = intersection_dim(decode_subspace(a).basis, decode_subspace(b).basis)
+    return (a, b, dim), encode_subspace(fp.subspace(shared))
 
 
-def _find_clash(bases: list[tuple[tuple[int, ...], ...]], colours: list[int],
-                params: GrassmannParams
-                ) -> tuple[tuple[str, str, int], str] | None:
-    """A same-colour pair of intersection dim >= t and a shared t-subspace.
+def _clash_of_blocks(params: GrassmannParams, blocks: Sequence[Sequence[int]],
+                     entries: Sequence[tuple[str, int]]
+                     ) -> tuple[tuple[str, str, int], str] | None:
+    """None when a colouring of every vertex is proper, else its first
+    clash as `_first_clash` names it.
 
-    dim(S ∩ T) >= t holds exactly when S and T share a t-subspace, so each
-    vertex is fingerprinted by its t-subspaces (`_Fingerprints`) and
-    `colour_clash` hashes them per colour class.  `bases` holds each
-    vertex's RREF rows.  Returns ((key S, key T, dim), witness key) or None
-    when the colouring is proper.
+    `blocks` and `entries` hold the same colouring: one sequence of colours
+    per identifying vector, as `_clash_free` reads them, and (key, colour)
+    pairs in the order a clash is named in.  The colouring is proper when
+    its V colours are distinct or `_clash_free` finds no clash.  If
+    `_first_clash` then finds none either, the two verdicts disagree, and
+    this raises AssertionError rather than accept.
     """
-    fp = _Fingerprints(params)
-    field = params.field
-    return _named_clash(fp, colour_clash(colours, lambda i: fp.of_rows(bases[i])),
-                        lambda k: Subspace(MatrixFq(field, bases[k])))
+    if len(set(itertools.chain.from_iterable(blocks))) == params.vertex_count() \
+            or _clash_free(params, blocks):
+        return None
+    clash = _first_clash(params, entries)
+    if clash is None:
+        raise AssertionError("the block verdict finds a clash that the key-by-key walk does not")
+    return clash
 
 
 def _clash_free(params: GrassmannParams, blocks: Iterable[Sequence[int]]) -> bool:
@@ -717,8 +725,8 @@ def _clash_free(params: GrassmannParams, blocks: Iterable[Sequence[int]]) -> boo
     a t-subspace.  In the dual regime the vertices' orthogonal complements
     are fingerprinted instead: dim(S ∩ T) >= t exactly when S⊥ and T⊥ share
     an (n - 2m + t)-subspace, and S⊥ has fewer of those than S has
-    t-subspaces.  A True answer is the certificate; on False the caller
-    names the clash with `colour_clash`.
+    t-subspaces.  A True answer is the certificate; on False
+    `_first_clash` names the clash.
     """
     complement = regime_of(params) == DUAL
     fp = _Fingerprints(params.dual() if complement else params)
@@ -796,18 +804,19 @@ def verify_properness(cert: ColourCertificate) -> VerificationReport:
     is skipped.  If all V colours are distinct the colouring is proper;
     otherwise `_clash_free` fingerprints each block of colours.  No key is
     parsed and no `Subspace` is built.  `pairs_checked` is the C(V, 2)
-    pairs the verdict certifies.  A certificate that fails either check is
-    refused by `_verify_by_keys`, which names what is missing or
-    unexpected, or the clashing pair and its witness.
+    pairs the verdict certifies.  A coverage refusal is named key by key
+    (`_verify_by_keys`), and a clash by `_first_clash`, in certificate order.
     """
     params = cert.params
     declared = params.vertex_count()
     # linear in the certificate, whatever V it claims
     blocks = _colour_blocks(params, cert.colours) if len(cert.colours) == declared else None
-    if blocks is not None and (len(set(itertools.chain.from_iterable(blocks))) == declared
-                               or _clash_free(params, blocks)):
+    if blocks is None:
+        return _verify_by_keys(cert)
+    clash = _clash_of_blocks(params, blocks, cert.colours)
+    if clash is None:
         return VerificationReport(True, declared * (declared - 1) // 2, None, True, (), ())
-    return _verify_by_keys(cert)
+    return VerificationReport(False, 0, clash[0], True, (), (), clash[1])
 
 
 def _colour_blocks(params: GrassmannParams, entries: tuple[tuple[str, int], ...]
@@ -826,52 +835,37 @@ def _colour_blocks(params: GrassmannParams, entries: tuple[tuple[str, int], ...]
 
 
 def _verify_by_keys(cert: ColourCertificate) -> VerificationReport:
-    """`verify_properness` key by key, which names why a certificate is refused.
+    """The coverage refusal of a certificate whose keys are not the graph's,
+    naming what is missing or unexpected.
 
     Every key must be the canonical key of an m-subspace of this graph's
     F_q^n (`_KeyParser`), once.  Distinct canonical keys are distinct
-    vertices, so V such keys cover the Grassmannian; the expected key set
-    is enumerated only to list what is missing on refusal, and only when
-    the graph has at most MISSING_LIST_SLACK more vertices than the
-    certificate has keys, so a refusal costs time linear in the
-    certificate's size.  Properness is the fingerprint check `_find_clash`
-    runs, fed with the parsed pivots and free cells; only a clash is decoded
-    into `Subspace`s, to name it.  `pairs_checked` is the C(V, 2) pairs it
-    certifies, and 0 when it refuses.
+    vertices, so V such keys cover the Grassmannian, and `_colour_blocks`
+    accepts them; finding them here raises AssertionError.  The expected
+    key set is enumerated only to list what is missing, and only when the
+    graph has at most MISSING_LIST_SLACK more vertices than the certificate
+    has keys, so a refusal costs time linear in the certificate's size.
     """
     params = cert.params
     parser = _KeyParser(params)
     seen: set[str] = set()
     invalid: list[str] = []
-    vertices: list[tuple[tuple[int, ...], list[int]]] = []
-    colours: list[int] = []
-    for key, colour in cert.colours:
-        vertex = parser.parse(key)
-        if vertex is None or key in seen:
+    for key, _ in cert.colours:
+        if parser.parse(key) is None or key in seen:
             invalid.append(key)
-            continue
-        seen.add(key)
-        vertices.append(vertex)
-        colours.append(colour)
+        else:
+            seen.add(key)
     declared = params.vertex_count()
-    if invalid or len(seen) != declared:
-        # every key in `seen` is an expected key, so only `invalid` is unexpected
-        missing = ()
-        if declared - len(cert.colours) <= MISSING_LIST_SLACK:
-            expected = {key for idvec in weight_vectors_lex(params.n, params.m)
-                        for key in block_keys(params.field, idvec)}
-            missing = tuple(sorted(expected - seen))
-        return VerificationReport(False, 0, None, False, missing,
-                                  tuple(sorted(set(invalid))),
-                                  declared=declared, given=len(cert.colours))
-    # with nothing invalid, vertex k is the certificate's entry k
-    fp = _Fingerprints(params)
-    clash = _named_clash(fp, colour_clash(colours, lambda i: fp.of(*vertices[i])),
-                         lambda k: decode_subspace(cert.colours[k][0]))
-    if clash is not None:
-        return VerificationReport(False, 0, clash[0], True, (), (), clash[1])
-    nv = len(vertices)
-    return VerificationReport(True, nv * (nv - 1) // 2, None, True, (), ())
+    if not invalid and len(seen) == declared:
+        raise AssertionError("the block lookup refused V distinct canonical keys")
+    # every key in `seen` is an expected key, so only `invalid` is unexpected
+    missing = ()
+    if declared - len(cert.colours) <= MISSING_LIST_SLACK:
+        expected = {key for idvec in weight_vectors_lex(params.n, params.m)
+                    for key in block_keys(params.field, idvec)}
+        missing = tuple(sorted(expected - seen))
+    return VerificationReport(False, 0, None, False, missing, tuple(sorted(set(invalid))),
+                              declared=declared, given=len(cert.colours))
 
 
 # -- certificate JSON ---------------------------------------------------------
