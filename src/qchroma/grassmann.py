@@ -57,6 +57,19 @@ class GrassmannParams:
                                self.n - 2 * self.m + self.t)
 
 
+DIRECT, DUAL, COMPLETE = "direct", "dual", "complete"
+
+
+def regime_of(params: GrassmannParams) -> str:
+    """How J_q(n, m, t) is coloured: direct (n >= 2m), dual (`params.dual()`
+    exists) or complete (any two vertices intersect in dimension >= t)."""
+    if params.n >= 2 * params.m:
+        return DIRECT
+    if params.n - 2 * params.m + params.t >= 1:
+        return DUAL
+    return COMPLETE
+
+
 class Subspace:
     """An m-dimensional subspace of F_q^n in canonical RREF form."""
 

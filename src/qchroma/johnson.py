@@ -15,7 +15,8 @@ when they share at least t elements.  Two proper colourings are provided:
 "gs").  `check_method` refuses any other name; `colouring.make_context`
 and `colouring.bounds_report` call it up front, also where they build no
 Johnson colouring.  `gs_fits_desk` says beforehand whether "gs" can build
-its field.
+its field.  `is_proper` checks a colouring with the certificate verifier's
+clash finder (`verify.colour_clash`), t-subsets as fingerprints.
 
 The Bose-Chowla set itself is built from discrete logarithms of the
 projective line spanned by {1, g} in F_{p^{m-t+1}} and then *verified
@@ -28,11 +29,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from math import comb
-from typing import Callable, Hashable, Iterable, Sequence
 
 from .ff import (DESK_ORDER_LIMIT, discrete_log, field_make, is_prime,
                  primitive_element)
 from .oracle import dsatur, shared_fingerprint_masks
+from .verify import colour_clash
 
 # greedy's saturation search (`oracle.dsatur` on bitmasks) takes 0.03 s at
 # C(12, 6) = 924 subsets and 0.4 s at C(14, 7) = 3 432 on a 2-vCPU Xeon; the
@@ -207,32 +208,6 @@ def johnson_bounds(n: int, m: int, t: int) -> tuple[int, int]:
     p = smallest_prime_geq(n + 1)
     gs_upper = (p ** (m - t + 1) - 1) // (p - 1)
     return lower, gs_upper
-
-
-def colour_clash(colours: Sequence[int],
-                 fingerprints: Callable[[int], Iterable[Hashable]]
-                 ) -> tuple[int, int, Hashable] | None:
-    """First two same-colour items that share a fingerprint, or None.
-
-    Items are indices into `colours`.  Within each colour class (classes
-    taken in order of first appearance, members in index order) every
-    fingerprint is hashed once, so the cost is linear in the total number
-    of fingerprints and no pair is walked.  A class of one item is never
-    fingerprinted.  Returns (i, j, shared fingerprint) with i < j.
-    """
-    classes: dict[int, list[int]] = {}
-    for i, c in enumerate(colours):
-        classes.setdefault(c, []).append(i)
-    for members in classes.values():
-        if len(members) < 2:
-            continue
-        owner: dict[Hashable, int] = {}
-        for j in members:
-            for f in fingerprints(j):
-                i = owner.setdefault(f, j)
-                if i != j:
-                    return i, j, f
-    return None
 
 
 def is_proper(col: JohnsonColouring) -> bool:

@@ -13,8 +13,8 @@ from qchroma.ff import field_for_order
 from qchroma.grassmann import (Subspace, decode_subspace, encode_subspace,
                                entry_texts, free_cells, key_template, rref_bases,
                                weight_vectors_lex)
-from qchroma.johnson import colour_clash
 from qchroma.matq import MatrixFq
+from qchroma.verify import colour_clash
 
 
 def all_vectors(q, n):

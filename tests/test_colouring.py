@@ -7,7 +7,7 @@ import pytest
 
 import naive
 from qchroma import colouring as col
-from qchroma import grassmann, matq, rankmetric
+from qchroma import grassmann, matq, rankmetric, verify
 from qchroma.grassmann import (GrassmannParams, adjacent, decode_subspace,
                                dualize, encode_subspace, enumerate_subspaces)
 from qchroma.matq import MatrixFq, gaussian_binomial, intersection_dim
@@ -475,6 +475,13 @@ def _blocks_by_encoded_key(params, colour_of):
     return list(blocks.values())
 
 
+def _patch_bindings(monkeypatch, name, replacement):
+    """Bind `replacement` as `name` in every qchroma module that binds it."""
+    for module in (grassmann, matq, col, verify):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, replacement)
+
+
 def _assert_witness(q, t, witness, span_a, span_b):
     shared = decode_subspace(witness)
     assert shared.m == t
@@ -490,7 +497,7 @@ def _assert_verdict_matches_all_pairs_walk(p, colours):
     keys = [k for k, _ in cert.colours]
     clean = naive.naive_clash(q, spans, colours, t) is None
     blocks = _blocks_by_encoded_key(params, dict(zip(keys, colours)))
-    assert col._clash_free(params, blocks) == clean
+    assert verify._clash_free(params, blocks) == clean
     rep = col.verify_properness(
         dataclasses.replace(cert, colours=tuple(zip(keys, colours))))
     assert rep.coverage_ok
@@ -552,8 +559,8 @@ def test_block_verdict_matches_the_key_by_key_verdict(p):
         colours = naive.merge_colours([c for _, c in cert.colours], merges,
                                       random.Random(seed))
         tampered = dataclasses.replace(cert, colours=tuple(zip(keys, colours)))
-        clash = col._first_clash(params, tampered.colours)
-        assert col._clash_free(params, _blocks_by_encoded_key(params, dict(tampered.colours))) \
+        clash = verify._first_clash(params, tampered.colours)
+        assert verify._clash_free(params, _blocks_by_encoded_key(params, dict(tampered.colours))) \
             == (clash is None)
         rep = col.verify_properness(tampered)
         assert rep.coverage_ok and rep.proper == (clash is None)
@@ -578,7 +585,7 @@ def _block_fingerprints(fp, idvec, complement=False):
 @pytest.mark.parametrize("p", [(2, 5, 3, 2), (3, 4, 2, 1)])
 def test_block_fingerprints_are_those_of_each_vertex(p):
     params = GrassmannParams(*p)
-    fp = col._Fingerprints(params)
+    fp = verify._Fingerprints(params)
     for idvec in grassmann.weight_vectors_lex(p[1], p[2]):
         bases = list(grassmann.rref_bases(p[0], idvec))
         pivots = tuple(j for j, b in enumerate(idvec) if b)
@@ -594,7 +601,7 @@ def test_complement_block_fingerprints_are_the_dual_t_subspaces(p):
     # blocks of at most 2 free cells, so F_9 stays small
     params = GrassmannParams(*p)
     field, n = params.field, params.n
-    fp = col._Fingerprints(params.dual())
+    fp = verify._Fingerprints(params.dual())
     for idvec in grassmann.weight_vectors_lex(n, params.m):
         if len(grassmann.free_cells(idvec)) > 2:
             continue
@@ -620,7 +627,7 @@ def test_two_vertex_colour_class_is_judged_by_adjacency(p):
     spans = [naive.span(q, S.basis.rows) for S in verts]
     for i in range(0, len(verts), 4):
         for j in range(i + 1, len(verts)):
-            clash = col._first_clash(params, [(keys[i], 0), (keys[j], 0)])
+            clash = verify._first_clash(params, [(keys[i], 0), (keys[j], 0)])
             dim = naive.naive_intersection_dim(q, spans[i], spans[j])
             assert (clash is not None) == (dim >= t)
             if clash is not None:
@@ -644,7 +651,7 @@ def test_verification_computes_one_intersection_only_on_refusal(monkeypatch):
     def counted(U, W):
         calls.append(1)
         return intersection_dim(U, W)
-    monkeypatch.setattr(col, "intersection_dim", counted)
+    _patch_bindings(monkeypatch, "intersection_dim", counted)
     rep = col.verify_properness(cert)
     assert rep.proper and rep.pairs_checked == 1395 * 1394 // 2
     assert len(calls) == 0
@@ -710,12 +717,10 @@ def _counting_verifier_calls(monkeypatch) -> dict[str, int]:
             counts[name] += 1
             return real(*args)
         return call
-    monkeypatch.setattr(col._KeyParser, "parse", counted("parse", col._KeyParser.parse))
-    monkeypatch.setattr(col._Fingerprints, "of", counted("of", col._Fingerprints.of))
+    monkeypatch.setattr(verify._KeyParser, "parse", counted("parse", verify._KeyParser.parse))
+    monkeypatch.setattr(verify._Fingerprints, "of", counted("of", verify._Fingerprints.of))
     for module, name in ((grassmann, "decode_subspace"), (matq, "intersection_dim")):
-        call = counted(name, getattr(module, name))
-        monkeypatch.setattr(module, name, call)
-        monkeypatch.setattr(col, name, call)
+        _patch_bindings(monkeypatch, name, counted(name, getattr(module, name)))
     return counts
 
 
@@ -745,13 +750,13 @@ def test_refused_certificate_is_named_key_by_key(monkeypatch):
 def test_verified_colouring_builds_no_basis_unless_it_clashes(monkeypatch):
     params = GrassmannParams(2, 6, 3, 2)
     ctx = col.make_context(params)
-    calls = []
+    calls, rref_bases = [], grassmann.rref_bases
 
     def counted(q, idvec):  # the vertices' bases, not the fingerprints' t x m ones
         if len(idvec) == params.n:
             calls.append(idvec)
-        return grassmann.rref_bases(q, idvec)
-    monkeypatch.setattr(col, "rref_bases", counted)
+        return rref_bases(q, idvec)
+    _patch_bindings(monkeypatch, "rref_bases", counted)
     cert = col.full_colouring(ctx, verify=True)
     assert cert.proper and cert.pairs_checked == 1395 * 1394 // 2 and calls == []
     # a broken kernel that paints every direct-regime vertex one colour is
@@ -811,7 +816,7 @@ def _malformed_corpus(p):
 @pytest.mark.parametrize("p", PARSER_GRAPHS)
 def test_key_parser_agrees_with_the_round_trip_reference(p):
     params = GrassmannParams(*p)
-    parser = col._KeyParser(params)
+    parser = verify._KeyParser(params)
     corpus = _malformed_corpus(p)
     assert not any(naive.naive_key_ok(key, params) for key in corpus)
     for key in corpus:
@@ -849,8 +854,7 @@ def test_accepted_certificate_builds_no_subspace_and_no_key_round_trip(monkeypat
         def counted(*args, _name=name, _real=getattr(grassmann, name)):
             counts[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(grassmann, name, counted)
-        monkeypatch.setattr(col, name, counted)
+        _patch_bindings(monkeypatch, name, counted)
     rep = col.verify_properness(cert)
     assert rep.proper and rep.pairs_checked == 1395 * 1394 // 2
     assert counts == {"Subspace": 0, "decode_subspace": 0, "encode_subspace": 0}
@@ -867,8 +871,7 @@ def test_keys_are_rendered_once_per_identifying_vector(p, monkeypatch):
         def counted(*args, _name=name, _real=getattr(grassmann, name)):
             counts[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(grassmann, name, counted)
-        monkeypatch.setattr(col, name, counted)
+        _patch_bindings(monkeypatch, name, counted)
     idvecs = len(grassmann.weight_vectors_lex(params.n, params.m))
     cert = col.full_colouring(ctx, verify=True)
     assert cert.proper and counts == {"block_keys": idvecs, "key_template": 0}
@@ -935,6 +938,6 @@ def test_clash_in_a_sample_of_a_dual_graph_over_f9_matches_the_reference():
     keys = [encode_subspace(S) for S in verts]
     colours = _adjacent_pair_mutant(keys, [col.colour_subspace(ctx, S) for S in verts],
                                     params, rng)
-    clash = col._first_clash(params, list(zip(keys, colours)))
+    clash = verify._first_clash(params, list(zip(keys, colours)))
     assert clash is not None
     assert clash == naive.tuple_clash(keys, colours, params)

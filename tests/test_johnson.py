@@ -8,9 +8,10 @@ import pytest
 
 import naive
 from qchroma import oracle
-from qchroma.johnson import (_adjacency_masks, bose_chowla, colour_clash,
-                             greedy_colouring, gs_colouring, is_proper, johnson_bounds,
+from qchroma.johnson import (_adjacency_masks, bose_chowla, greedy_colouring,
+                             gs_colouring, is_proper, johnson_bounds,
                              smallest_prime_geq, subsets_lex)
+from qchroma.verify import colour_clash
 
 
 def test_smallest_prime_geq():
