@@ -208,15 +208,9 @@ class _Fingerprints:
 
     def subspace(self, fingerprint: tuple[int, ...]) -> Subspace:
         """The t-subspace a fingerprint stands for."""
-        q = self.field.order
-        rows = []
-        for value in fingerprint:
-            row = []
-            for _ in range(self.n):
-                value, v = divmod(value, q)
-                row.append(v)
-            rows.append(tuple(row))
-        return Subspace(MatrixFq(self.field, tuple(rows)))
+        q = self.field.order  # entry j is base-q digit j
+        return Subspace(MatrixFq(self.field, tuple(
+            tuple(value // q ** j % q for j in range(self.n)) for value in fingerprint)))
 
 
 def _first_clash(params: GrassmannParams, entries: Sequence[tuple[str, int]]

@@ -113,6 +113,17 @@ def test_oracle_command(capsys):
     assert doc["chromatic_exact"] is True
 
 
+def test_oracle_refuses_a_negative_budget_before_the_graph_build(monkeypatch, capsys):
+    from qchroma import oracle
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("graph built for a refused budget")
+    monkeypatch.setattr(oracle, "build_graph", no_graph)
+    assert main(["oracle", "--q", "2", "--n", "6", "--m", "3", "--t", "1",
+                 "--budget", "-5"]) == 1
+    assert "budget" in capsys.readouterr().err
+
+
 def test_export_graph(tmp_path):
     out = os.path.join(tmp_path, "grs.dimacs")
     assert main(["export-graph", "--q", "2", "--n", "4", "--m", "2", "--t", "1",
