@@ -162,8 +162,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_oracle(args) -> int:
     params = _params(args)
-    if args.budget < 0:  # refused before the graph build, as `max_clique` refuses it
-        raise ValueError(f"budget must be at least 0, got {args.budget}")
+    oracle.check_budget(args.budget)  # before the graph build
     g = oracle.build_graph(params, cap=args.cap)
     ch = oracle.exact_chromatic(g, budget=args.budget)
     mc = ch.clique

@@ -210,14 +210,19 @@ class _Budget:
         return self.left >= 0
 
 
+def check_budget(budget: int) -> None:
+    """ValueError unless a search budget is at least 0."""
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
+
+
 def max_clique(g: DenseGraph, budget: int = DEFAULT_BUDGET) -> CliqueResult:
     """Branch and bound with greedy colouring bounds (exact within budget).
 
-    A negative budget is refused with ValueError; `exact_chromatic` runs
+    A negative budget is refused (`check_budget`); `exact_chromatic` runs
     this search first, so it refuses one too.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
+    check_budget(budget)
     n = g.num_vertices
     if n == 0:
         return CliqueResult(0, (), True, 0)

@@ -476,7 +476,8 @@ def _blocks_by_encoded_key(params, colour_of):
 
 
 def _patch_bindings(monkeypatch, name, replacement):
-    """Bind `replacement` as `name` in every qchroma module that binds it."""
+    """Bind `replacement` as `name` where it is defined and where the colourer
+    and the verifier import it."""
     for module in (grassmann, matq, col, verify):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, replacement)
