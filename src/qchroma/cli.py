@@ -9,6 +9,7 @@ All numeric output is exact (decimal strings inside JSON documents).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -98,9 +99,10 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_enumerate(args) -> int:
     if not 1 <= args.m <= args.n:
         raise ValueError(f"need 1 <= m <= n, got m={args.m}, n={args.n}")
-    lines = [gr.encode_subspace(S)
-             for S in gr.enumerate_subspaces(args.q, args.n, args.m)]
-    _emit("\n".join(lines) + "\n", args.out)
+    field = gr.field_for_order(args.q)  # refuses a q that is not a prime power
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        for idvec in gr.weight_vectors_lex(args.n, args.m):  # one block of keys at a time
+            fh.write("\n".join(gr.block_keys(field, idvec)) + "\n")
     return 0
 
 

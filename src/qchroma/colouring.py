@@ -560,7 +560,7 @@ def certificate_from_json(text: str) -> ColourCertificate:
             proper=verified.get("proper"),
             pairs_checked=int(verified.get("pairs_checked", "0")),
             family_sizes=fam)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # wrong JSON shapes too
         raise ValueError(f"malformed certificate: {exc}") from exc
 
 

@@ -9,13 +9,15 @@ lifting or cosets of the construction it checks.
 `verify_properness` accepts by blocks, one identifying vector at a time:
 coverage by looking up every vertex's `block_keys` key, properness by
 sorting one integer per (colour, fingerprinted t-subspace) of every vertex
-(`_clash_free`, `_Fingerprints`).  It refuses by one path each: a coverage
-refusal lists the missing and unexpected keys (`_verify_by_keys`,
-`_KeyParser`), and a clash is named by `_first_clash`, which walks the
-colour classes in certificate order (`colour_clash`) and parses only the
-keys it fingerprints.  `colouring.full_colouring` runs the same verdict on
-its own colours (`_clash_of_blocks`), and `johnson.is_proper` runs
-`colour_clash` with t-subsets as fingerprints.
+(`_clashing_colours`, `_Fingerprints`).  It refuses by one path each: a
+coverage refusal lists the missing and unexpected keys (`_verify_by_keys`,
+`_KeyParser`), and a clash is named by `_first_clash`, which walks only the
+colour classes that the sorted integers found clashing, in certificate
+order (`colour_clash`), and parses only the keys it fingerprints.  Both
+fingerprint with the one routine `_Fingerprints.block`.
+`colouring.full_colouring` runs the same verdict on its own colours
+(`_clash_of_blocks`), and `johnson.is_proper` runs `colour_clash` with
+t-subsets as fingerprints.
 """
 
 from __future__ import annotations
@@ -95,15 +97,15 @@ class _Fingerprints:
     B's pivot columns picked by C's pivots, where C·B repeats the columns
     of C), so C·B is the canonical fingerprint as computed.
 
-    A row of C·B is a sum of at most m scaled rows c·B_i.  Each is built
-    once per vertex from per-entry tables of c·v, with F_p coordinate l of
-    entry j in slot j·k + l of a `matq.PackedFp` wide enough for m terms;
+    A row r·B of C·B is a sum of per-entry terms c·v, with F_p coordinate l
+    of entry j in slot j·k + l of a `matq.PackedFp` wide enough for m terms;
     one fold of the sum gives the base-q integer whose digit j is entry j.
     A fingerprint is the tuple of those integers for the rows of one C,
     the C taken in `rref_bases` order over `weight_vectors_lex(m, t)`.
-    `of` builds one vertex's; `block` builds the rows of a whole identifying
-    vector's vertices at once.  This is field arithmetic only: no lifting
-    and no cosets.
+    `block` is the one routine that builds them: the rows of a whole
+    identifying vector's vertices at once for the verdict, or of one vertex
+    for naming a clash.  This is field arithmetic only: no lifting and no
+    cosets.
     """
 
     def __init__(self, params: GrassmannParams):
@@ -112,26 +114,9 @@ class _Fingerprints:
         self.field, self.n = field, n
         combos = [C for u in weight_vectors_lex(m, params.t)
                   for C in rref_bases(q, u)]
-        # rows of the C, by weight: zeroing a free entry of a row gives a row
-        # of another C with the same pivots, so the sum for a row is the sum
-        # for the row without its last nonzero entry plus one scaled row
-        self.coeff_rows = coeff_rows = sorted({r for C in combos for r in C},
-                                              key=lambda r: (m - r.count(0), r))
+        self.coeff_rows = coeff_rows = sorted({r for C in combos for r in C})
         row_at = {r: x for x, r in enumerate(coeff_rows)}
         self.columns = [[row_at[C[k]] for C in combos] for k in range(params.t)]
-        # the scaled rows (i, c) = c·B_i that the sums use
-        self.scaled = sorted({(i, c) for r in coeff_rows for i, c in enumerate(r) if c})
-        at = {ic: x for x, ic in enumerate(self.scaled)}
-        self.units: list[int] = []
-        self.layers: list[list[tuple[int, int]]] = [[] for _ in range(m - 1)]
-        for r in coeff_rows:
-            last = max(i for i, c in enumerate(r) if c)
-            prefix = r[:last] + (0,) + r[last + 1:]
-            if any(prefix):
-                self.layers[m - 1 - prefix.count(0)].append(
-                    (row_at[prefix], at[last, r[last]]))
-            else:
-                self.units.append(at[last, r[last]])
         self.packed = packed = PackedFp(field.p, m, n * field.k)
         stride = field.k * packed.width
         cv = [[packed.pack(field.coeffs_of(field.mul(c, v))) for v in range(q)]
@@ -139,42 +124,20 @@ class _Fingerprints:
         self.term = [[[x << (j * stride) for x in cv[c]] for c in range(q)]
                      for j in range(n)]  # term[j][c][v]: c·v as entry j
         self._negated: list | None = None  # the same with v negated, for `block`
-        self._specs: dict[tuple[int, ...], tuple] = {}
 
-    def _spec(self, pivots: tuple[int, ...]):
-        """The free cells, and per scaled row c·B_i: the term of its pivot,
-        the slice of the values that row i's free cells take, and their
-        term tables for c."""
-        spec = self._specs.get(pivots)
-        if spec is None:
-            cells = free_cells([1 if j in pivots else 0 for j in range(self.n)])
-            term = self.term
-            spec = self._specs[pivots] = (cells, [])
-            for i, c in self.scaled:
-                lo = sum(r < i for r, _ in cells)  # cells are row-major
-                tabs = [term[j][c] for r, j in cells if r == i]
-                spec[1].append((term[pivots[i]][c][1], lo, lo + len(tabs), tabs))
-        return spec
-
-    def of(self, pivots: tuple[int, ...], values: list[int]) -> Iterable[tuple[int, ...]]:
-        """The fingerprints of the vertex with these pivots and free-cell values."""
-        scaled = [base + sum(map(getitem, tabs, values[lo:hi]))
-                  for base, lo, hi, tabs in self._spec(pivots)[1]]
-        totals = [scaled[b] for b in self.units]
-        for layer in self.layers:
-            totals += [totals[a] + scaled[b] for a, b in layer]
-        vecs = self.packed.fold_all(totals)
-        return zip(*[map(vecs.__getitem__, column) for column in self.columns])
-
-    def block(self, idvec: tuple[int, ...], complement: bool = False) -> list[list[int]]:
+    def block(self, idvec: tuple[int, ...], complement: bool = False,
+              values: Sequence[int] | None = None) -> list[list[int]]:
         """Per row r of `coeff_rows`, the folded r·B of every vertex with
-        this identifying vector, in `rref_bases` order.
+        this identifying vector, in `rref_bases` order; with `values`, the
+        free-cell values of one vertex in `free_cells` order, of that vertex
+        alone, so each list holds one integer.
 
         r·B is the sum of r_k times the pivot 1 of row k of B plus, per free
         cell, a term F_q-linear in the cell's value, so the sums of a whole
         identifying vector come at once, as `colouring._CosetColourer.block` sums
         syndromes: a cell with a nonzero coefficient adds its terms to every
-        sum so far, a cell with coefficient 0 repeats the sums q times.
+        sum so far, a cell with coefficient 0 repeats the sums q times.  One
+        vertex takes one term per cell, the term for its value.
 
         With `complement`, the fingerprints are of the vertices' orthogonal
         complements and this object is built for `params.dual()`.  For a
@@ -197,9 +160,17 @@ class _Fingerprints:
             tables = self._negated  # tables[j][c][v]: c·(-v) as entry j
         else:
             leads, tables = pivots, term  # leads: the column of each row's pivot 1
+        ones = [[tc[1] for tc in term[j]] for j in leads]  # ones[k][c]: c·(row k's pivot 1)
+        heads = [sum(map(getitem, ones, r)) for r in self.coeff_rows]
+        if values is not None:  # one term per cell, by the cell's row; c = 0 gives 0
+            row_of_cell = [k for k, _ in cells]
+            picked = [[tc[v] for tc in tables[j]] for (_, j), v in zip(cells, values)]
+            return [[x] for x in self.packed.fold_all([
+                head + sum(map(getitem, picked, map(r.__getitem__, row_of_cell)))
+                for head, r in zip(heads, self.coeff_rows)])]
         out = []
-        for r in self.coeff_rows:
-            totals = [sum(term[j][c][1] for j, c in zip(leads, r))]
+        for head, r in zip(heads, self.coeff_rows):
+            totals = [head]
             for k, j in reversed(cells):  # the first cell varies slowest
                 c = r[k]
                 totals = [a + b for a in tables[j][c] for b in totals] if c else totals * q
@@ -219,12 +190,19 @@ def _first_clash(params: GrassmannParams, entries: Sequence[tuple[str, int]]
     (key, colour) entries, or None.
 
     dim(S ∩ T) >= t exactly when S and T share a t-subspace, so
-    `colour_clash` hashes fingerprints (`_Fingerprints.of`) per colour class,
-    in the entries' order.  A key, which must be canonical, is parsed only
-    when its class is fingerprinted, and only the reported pair is decoded.
+    `colour_clash` hashes fingerprints (`_Fingerprints.block` of one vertex)
+    per colour class, in the entries' order.  A key, which must be
+    canonical, is parsed only when its class is fingerprinted, and only the
+    reported pair is decoded.
     """
-    parse, fp = _KeyParser(params).parse, _Fingerprints(params)
-    clash = colour_clash([c for _, c in entries], lambda i: fp.of(*parse(entries[i][0])))
+    parse, fp, n = _KeyParser(params).parse, _Fingerprints(params), params.n
+    combos = list(zip(*fp.columns))
+
+    def fingerprints(i: int) -> Iterable[tuple[int, ...]]:
+        pivots, values = parse(entries[i][0])
+        rows = fp.block(tuple(int(j in pivots) for j in range(n)), values=values)
+        return [tuple(rows[x][0] for x in combo) for combo in combos]
+    clash = colour_clash([c for _, c in entries], fingerprints)
     if clash is None:
         return None
     i, j, shared = clash
@@ -239,22 +217,27 @@ def _clash_of_blocks(params: GrassmannParams, blocks: Sequence[Sequence[int]],
     """None when a colouring of all V vertices is proper, else its first
     clash, named by `_first_clash` from `entries` in their order.
 
-    `blocks` holds the same colours by identifying vector, as `_clash_free`
-    reads them.  The colouring is proper when its colours are distinct or
-    `_clash_free` finds no clash; if `_first_clash` then finds none either,
-    the verdicts disagree and this raises AssertionError rather than accept.
+    `blocks` holds the same colours by identifying vector, as
+    `_clashing_colours` reads them.  The colouring is proper when its
+    colours are distinct or no colour clashes.  Otherwise only the entries
+    of the clashing colours are walked: the other classes hold no clash, so
+    the walk names the same first clash as over all entries.  If it names
+    none, the verdicts disagree and this raises AssertionError rather than
+    accept.
     """
-    if len(set(itertools.chain.from_iterable(blocks))) == params.vertex_count() \
-            or _clash_free(params, blocks):
+    if len(set(itertools.chain.from_iterable(blocks))) == params.vertex_count():
         return None
-    clash = _first_clash(params, entries)
+    clashing = _clashing_colours(params, blocks)
+    if not clashing:
+        return None
+    clash = _first_clash(params, [e for e in entries if e[1] in clashing])
     if clash is None:
         raise AssertionError("the block verdict finds a clash that the key-by-key walk does not")
     return clash
 
 
-def _clash_free(params: GrassmannParams, blocks: Iterable[Sequence[int]]) -> bool:
-    """Whether no two vertices of one colour share a t-subspace.
+def _clashing_colours(params: GrassmannParams, blocks: Iterable[Sequence[int]]) -> set[int]:
+    """The colours of which two vertices share a t-subspace.
 
     `blocks` holds the colours of all vertices, one sequence per identifying
     vector of `weight_vectors_lex(n, m)`, in `rref_bases` order.  Each vertex
@@ -263,11 +246,12 @@ def _clash_free(params: GrassmannParams, blocks: Iterable[Sequence[int]]) -> boo
     base-q^n digits, so the integer determines the pair;
     the integers of all vertices are sorted.  A vertex's own t-subspaces are
     distinct, so two equal integers are two vertices of one colour sharing
-    a t-subspace.  In the dual regime the vertices' orthogonal complements
-    are fingerprinted instead: dim(S ∩ T) >= t exactly when S⊥ and T⊥ share
-    an (n - 2m + t)-subspace, and S⊥ has fewer of those than S has
-    t-subspaces.  A True answer is the certificate; on False
-    `_first_clash` names the clash.
+    a t-subspace, and floor division by q^(n·k) gives back that colour.  In
+    the dual regime the vertices' orthogonal complements are fingerprinted
+    instead: dim(S ∩ T) >= t exactly when S⊥ and T⊥ share an
+    (n - 2m + t)-subspace, and S⊥ has fewer of those than S has
+    t-subspaces.  An empty set is the certificate; otherwise
+    `_first_clash` names a clash.
     """
     complement = regime_of(params) == DUAL
     fp = _Fingerprints(params.dual() if complement else params)
@@ -283,7 +267,11 @@ def _clash_free(params: GrassmannParams, blocks: Iterable[Sequence[int]]) -> boo
                 code = map(mul, map(add, code, rows[x]), itertools.repeat(base))
             codes += map(add, code, rows[last])
     codes.sort()
-    return not any(map(eq, codes, itertools.islice(codes, 1, None)))
+    if not any(map(eq, codes, itertools.islice(codes, 1, None))):
+        return set()
+    repeated = itertools.compress(codes, map(eq, codes, itertools.islice(codes, 1, None)))
+    scale = base ** len(fp.columns)  # exact for any integer colour, as floor division
+    return {code // scale for code in repeated}
 
 
 class _KeyParser:

@@ -102,6 +102,16 @@ def naive_clash(q, spans, colours, t):
     return None
 
 
+def naive_clashing_colours(q, spans, colours, t):
+    """Every colour of which two vertices' spans meet in dimension >= t."""
+    classes = {}
+    for s, c in zip(spans, colours):
+        classes.setdefault(c, []).append(s)
+    return {c for c, members in classes.items()
+            if any(naive_intersection_dim(q, a, b) >= t
+                   for a, b in itertools.combinations(members, 2))}
+
+
 def naive_johnson_clash(subsets, colours, t):
     """All-pairs walk over m-subsets: the first same-colour pair sharing at
     least t elements, or None."""
@@ -188,27 +198,31 @@ def naive_unexpected(keys, params):
     return tuple(sorted(bad))
 
 
-def tuple_clash(keys, colours, params):
-    """First clash of `colour_clash` over tuple-of-tuples fingerprints.
+def entry_fingerprints(params, rows):
+    """The t-subspaces of the row space of an RREF basis B (`rows`), as the
+    rows of C·B, C each RREF t x m basis in `rref_bases` order over
+    `weight_vectors_lex(m, t)`, built entry by entry."""
+    F = params.field
 
-    Vertex i is decoded from keys[i]; its fingerprints are the rows of C·B,
-    B its RREF basis and C each RREF t x m basis in `rref_bases` order over
-    `weight_vectors_lex(m, t)`, built entry by entry.  Returns
-    ((key, key, dim), witness key) or None; dim comes from the vector sets.
-    """
-    F, q = params.field, params.q
-    bases = [decode_subspace(k).basis.rows for k in keys]
-    combos = [C for u in weight_vectors_lex(params.m, params.t)
-              for C in rref_bases(q, u)]
-
-    def combination(coeffs, rows):
+    def combination(coeffs):
         acc = tuple([0] * len(rows[0]))
         for c, row in zip(coeffs, rows):
             acc = vec_add(F, acc, vec_scale(F, c, row))
         return acc
+    return [tuple(combination(r) for r in C)
+            for u in weight_vectors_lex(params.m, params.t) for C in rref_bases(params.q, u)]
 
-    clash = colour_clash(colours, lambda i: [
-        tuple(combination(r, bases[i]) for r in C) for C in combos])
+
+def tuple_clash(keys, colours, params):
+    """First clash of `colour_clash` over tuple-of-tuples fingerprints.
+
+    Vertex i is decoded from keys[i]; its fingerprints are
+    `entry_fingerprints` of its RREF basis.  Returns
+    ((key, key, dim), witness key) or None; dim comes from the vector sets.
+    """
+    F, q = params.field, params.q
+    bases = [decode_subspace(k).basis.rows for k in keys]
+    clash = colour_clash(colours, lambda i: entry_fingerprints(params, bases[i]))
     if clash is None:
         return None
     i, j, shared = clash

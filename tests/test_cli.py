@@ -8,6 +8,7 @@ import pytest
 
 from qchroma import johnson
 from qchroma.cli import main
+from qchroma.grassmann import encode_subspace, enumerate_subspaces
 from qchroma.matq import gaussian_binomial
 
 
@@ -19,6 +20,14 @@ def test_enumerate(capsys, tmp_path):
     assert main(["enumerate", "--q", "2", "--n", "4", "--m", "2",
                  "--out", out]) == 0
     assert open(out).read().splitlines() == lines
+    # the `encode_subspace` stream, byte for byte, also over extension fields
+    for q, n, m in ((2, 4, 4), (4, 4, 2), (9, 3, 1), (11, 3, 2)):
+        want = "".join(encode_subspace(S) + "\n" for S in enumerate_subspaces(q, n, m))
+        args = ["enumerate", "--q", str(q), "--n", str(n), "--m", str(m)]
+        assert main(args) == 0
+        assert capsys.readouterr().out == want
+        assert main(args + ["--out", out]) == 0
+        assert open(out).read() == want
 
 
 def test_colour_verify_roundtrip(tmp_path):
@@ -167,8 +176,16 @@ def test_validation_errors_exit_1(capsys, tmp_path):
         [dict(e, colour=int(e["colour"]) + 0.5) if e is one else e for e in doc["colours"]],
         [dict(e, colour=True) if e is one else e for e in doc["colours"]],
     ]
-    for entries in mutants:
-        open(cert, "w").write(json.dumps(dict(doc, colours=entries)))
+    # and sections of the wrong JSON type
+    sizes = doc["provenance"]["family_sizes"]
+    docs = [dict(doc, colours=entries) for entries in mutants] + [
+        dict(doc, bounds=list(doc["bounds"])),
+        dict(doc, verified="yes"),
+        dict(doc, provenance=[doc["provenance"]]),
+        dict(doc, provenance=dict(doc["provenance"], family_sizes={
+            u: list(d) for u, d in sizes.items()}))]
+    for bad in docs:
+        open(cert, "w").write(json.dumps(bad))
         capsys.readouterr()
         assert main(["verify", "--cert", cert]) == 1
         assert "malformed certificate" in capsys.readouterr().err

@@ -498,7 +498,9 @@ def _assert_verdict_matches_all_pairs_walk(p, colours):
     keys = [k for k, _ in cert.colours]
     clean = naive.naive_clash(q, spans, colours, t) is None
     blocks = _blocks_by_encoded_key(params, dict(zip(keys, colours)))
-    assert verify._clash_free(params, blocks) == clean
+    clashing = verify._clashing_colours(params, blocks)
+    assert clashing == naive.naive_clashing_colours(q, spans, colours, t)
+    assert (not clashing) == clean
     rep = col.verify_properness(
         dataclasses.replace(cert, colours=tuple(zip(keys, colours))))
     assert rep.coverage_ok
@@ -561,18 +563,19 @@ def test_block_verdict_matches_the_key_by_key_verdict(p):
                                       random.Random(seed))
         tampered = dataclasses.replace(cert, colours=tuple(zip(keys, colours)))
         clash = verify._first_clash(params, tampered.colours)
-        assert verify._clash_free(params, _blocks_by_encoded_key(params, dict(tampered.colours))) \
-            == (clash is None)
+        clashing = verify._clashing_colours(
+            params, _blocks_by_encoded_key(params, dict(tampered.colours)))
+        assert (not clashing) == (clash is None)
+        if clash is not None:
+            assert dict(tampered.colours)[clash[0][0]] in clashing
         rep = col.verify_properness(tampered)
         assert rep.coverage_ok and rep.proper == (clash is None)
         assert (rep.counterexample, rep.witness) == (clash or (None, None))
 
 
-def _fingerprint_rows_to_subspace(field, n, fingerprint):
-    """The row space of a fingerprint's rows, read as base-q digits."""
-    q = field.order
-    return grassmann.Subspace.from_matrix(MatrixFq(field, tuple(
-        tuple(value // q ** j % q for j in range(n)) for value in fingerprint)))
+def _fingerprint_rows(n, q, fingerprint):
+    """A fingerprint's rows of field elements, read as base-q digits."""
+    return tuple(tuple(value // q ** j % q for j in range(n)) for value in fingerprint)
 
 
 def _block_fingerprints(fp, idvec, complement=False):
@@ -583,37 +586,44 @@ def _block_fingerprints(fp, idvec, complement=False):
             for v in range(len(rows[0]))]
 
 
-@pytest.mark.parametrize("p", [(2, 5, 3, 2), (3, 4, 2, 1)])
+@pytest.mark.parametrize("p", [(2, 5, 3, 2), (3, 4, 2, 1), (4, 5, 2, 1)])
 def test_block_fingerprints_are_those_of_each_vertex(p):
+    # against C·B built entry by entry; one vertex's `values` give its own rows
     params = GrassmannParams(*p)
+    q, n = p[0], p[1]
     fp = verify._Fingerprints(params)
-    for idvec in grassmann.weight_vectors_lex(p[1], p[2]):
-        bases = list(grassmann.rref_bases(p[0], idvec))
-        pivots = tuple(j for j, b in enumerate(idvec) if b)
+    for idvec in grassmann.weight_vectors_lex(n, p[2]):
         cells = grassmann.free_cells(idvec)
-        assert _block_fingerprints(fp, idvec) == [
-            set(fp.of(pivots, [rows[i][j] for i, j in cells])) for rows in bases]
+        whole = fp.block(idvec)
+        got = _block_fingerprints(fp, idvec)
+        for v, rows in enumerate(grassmann.rref_bases(q, idvec)):
+            assert {_fingerprint_rows(n, q, f) for f in got[v]} == \
+                set(naive.entry_fingerprints(params, rows))
+            assert fp.block(idvec, values=[rows[i][j] for i, j in cells]) == \
+                [[sums[v]] for sums in whole]
 
 
 @pytest.mark.parametrize("p", [(2, 5, 3, 2), (3, 5, 3, 2), (4, 5, 3, 2), (9, 5, 3, 2),
                                (2, 7, 4, 2)])
 def test_complement_block_fingerprints_are_the_dual_t_subspaces(p):
-    # the complement side: per vertex S, the (n - 2m + t)-subspaces of S⊥;
+    # the complement side: per vertex S, the (n - 2m + t)-subspaces of S⊥,
+    # against C·B built entry by entry on the RREF basis B of S⊥;
     # blocks of at most 2 free cells, so F_9 stays small
     params = GrassmannParams(*p)
-    field, n = params.field, params.n
+    field, q, n = params.field, p[0], params.n
     fp = verify._Fingerprints(params.dual())
     for idvec in grassmann.weight_vectors_lex(n, params.m):
         if len(grassmann.free_cells(idvec)) > 2:
             continue
         got = _block_fingerprints(fp, idvec, complement=True)
-        for rows, fingerprints in zip(grassmann.rref_bases(p[0], idvec), got):
+        for rows, fingerprints in zip(grassmann.rref_bases(q, idvec), got):
             dual = dualize(grassmann.Subspace(MatrixFq(field, rows)))
-            values = [dual.basis.rows[i][j] for i, j in grassmann.free_cells(dual.idvec)]
-            want = {fp.subspace(f) for f in fp.of(dual.pivot_columns(), values)}
+            want = {grassmann.Subspace.from_matrix(MatrixFq(field, f))
+                    for f in naive.entry_fingerprints(params.dual(), dual.basis.rows)}
             assert len(fingerprints) == len(want) == gaussian_binomial(
-                n - params.m, n - 2 * params.m + params.t, p[0])
-            assert {_fingerprint_rows_to_subspace(field, n, f) for f in fingerprints} == want
+                n - params.m, n - 2 * params.m + params.t, q)
+            assert {grassmann.Subspace.from_matrix(MatrixFq(field, _fingerprint_rows(n, q, f)))
+                    for f in fingerprints} == want
 
 
 @pytest.mark.parametrize("p", [(2, 4, 2, 1), (3, 4, 2, 1), (2, 5, 3, 2)])
@@ -710,8 +720,10 @@ def test_coverage_mutant_with_v_keys_is_refused(p, mutant):
 
 
 def _counting_verifier_calls(monkeypatch) -> dict[str, int]:
-    """Count key parses, per-vertex fingerprints, key decodes and intersections."""
-    counts = dict.fromkeys(("parse", "of", "decode_subspace", "intersection_dim"), 0)
+    """Count key parses, per-vertex fingerprints (`block` with `values`),
+    key decodes and intersections."""
+    counts = dict.fromkeys(("parse", "vertex_block", "decode_subspace", "intersection_dim"), 0)
+    block = verify._Fingerprints.block
 
     def counted(name, real):
         def call(*args):
@@ -719,7 +731,11 @@ def _counting_verifier_calls(monkeypatch) -> dict[str, int]:
             return real(*args)
         return call
     monkeypatch.setattr(verify._KeyParser, "parse", counted("parse", verify._KeyParser.parse))
-    monkeypatch.setattr(verify._Fingerprints, "of", counted("of", verify._Fingerprints.of))
+
+    def counted_block(self, idvec, complement=False, values=None):
+        counts["vertex_block"] += values is not None
+        return block(self, idvec, complement, values)
+    monkeypatch.setattr(verify._Fingerprints, "block", counted_block)
     for module, name in ((grassmann, "decode_subspace"), (matq, "intersection_dim")):
         _patch_bindings(monkeypatch, name, counted(name, getattr(module, name)))
     return counts
@@ -740,10 +756,13 @@ def test_refused_certificate_is_named_key_by_key(monkeypatch):
     keys = [k for k, _ in cert.colours]
     colours = _adjacent_pair_mutant(keys, [c for _, c in cert.colours], cert.params,
                                     random.Random(6))
+    tampered = dataclasses.replace(cert, colours=tuple(zip(keys, colours)))
+    clashing = verify._clashing_colours(
+        cert.params, verify._colour_blocks(cert.params, tampered.colours))
     counts = _counting_verifier_calls(monkeypatch)
-    rep = col.verify_properness(dataclasses.replace(cert, colours=tuple(zip(keys, colours))))
+    rep = col.verify_properness(tampered)
     assert rep.coverage_ok and not rep.proper
-    assert 0 < counts["parse"] == counts["of"] < len(keys)
+    assert 0 < counts["parse"] == counts["vertex_block"] <= sum(c in clashing for c in colours)
     assert counts["decode_subspace"] == 2
     assert counts["intersection_dim"] == 1
 

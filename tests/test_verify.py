@@ -1,4 +1,5 @@
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
@@ -54,13 +55,15 @@ def test_verifier_imports_none_of_the_construction():
 
 
 def test_disagreeing_verdicts_fail_closed(monkeypatch, tmp_path, capsys):
-    # a proper certificate, with the block verdict made to report a clash that
-    # the key-by-key walk cannot name: every caller raises instead of accepting
+    # a proper certificate, with the block verdict made to report every colour
+    # as clashing, which the key-by-key walk cannot name: every caller raises
+    # instead of accepting
     ctx = col.make_context(GrassmannParams(2, 6, 3, 2))
     cert = col.full_colouring(ctx, verify=False)
     path = str(tmp_path / "cert.json")
     col.save_certificate(cert, path)
-    monkeypatch.setattr(verify, "_clash_free", lambda params, blocks: False)
+    monkeypatch.setattr(verify, "_clashing_colours",
+                        lambda params, blocks: set(itertools.chain.from_iterable(blocks)))
     with pytest.raises(AssertionError, match="block verdict"):
         col.verify_properness(cert)
     with pytest.raises(AssertionError, match="block verdict"):
