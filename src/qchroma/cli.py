@@ -9,9 +9,9 @@ All numeric output is exact (decimal strings inside JSON documents).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
+from typing import Iterable
 
 from . import colouring as col
 from . import johnson, oracle
@@ -88,21 +88,21 @@ def _params(args) -> gr.GrassmannParams:
     return gr.GrassmannParams(args.q, args.n, args.m, args.t)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the text chunks in turn to the file `out`, else to stdout."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_enumerate(args) -> int:
     if not 1 <= args.m <= args.n:
         raise ValueError(f"need 1 <= m <= n, got m={args.m}, n={args.n}")
     field = gr.field_for_order(args.q)  # refuses a q that is not a prime power
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        for idvec in gr.weight_vectors_lex(args.n, args.m):  # one block of keys at a time
-            fh.write("\n".join(gr.block_keys(field, idvec)) + "\n")
+    _emit(("\n".join(gr.block_keys(field, v)) + "\n"  # one block of keys at a time
+           for v in gr.weight_vectors_lex(args.n, args.m)), args.out)
     return 0
 
 
@@ -112,7 +112,7 @@ def _cmd_colour(args) -> int:
     ctx = col.make_context(params, args.johnson)
     verify = True if args.verify else None
     cert = col.full_colouring(ctx, verify=verify, vertex_cap=args.cap)
-    _emit(col.certificate_to_json(cert), args.out)
+    _emit([col.certificate_to_json(cert)], args.out)
     return 0
 
 

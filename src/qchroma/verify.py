@@ -124,6 +124,7 @@ class _Fingerprints:
         self.term = [[[x << (j * stride) for x in cv[c]] for c in range(q)]
                      for j in range(n)]  # term[j][c][v]: c·v as entry j
         self._negated: list | None = None  # the same with v negated, for `block`
+        self._layouts: dict[tuple, list] = {}  # per (idvec, complement), for `block`
 
     def block(self, idvec: tuple[int, ...], complement: bool = False,
               values: Sequence[int] | None = None) -> list[list[int]]:
@@ -133,11 +134,12 @@ class _Fingerprints:
         alone, so each list holds one integer.
 
         r·B is the sum of r_k times the pivot 1 of row k of B plus, per free
-        cell, a term F_q-linear in the cell's value, so the sums of a whole
-        identifying vector come at once, as `colouring._CosetColourer.block` sums
-        syndromes: a cell with a nonzero coefficient adds its terms to every
-        sum so far, a cell with coefficient 0 repeats the sums q times.  One
-        vertex takes one term per cell, the term for its value.
+        cell (k, j), the term of r_k times the cell's value as entry j, so
+        the sums of a whole identifying vector come at once, as
+        `colouring._CosetColourer.block` sums syndromes: a cell with a
+        nonzero coefficient adds its terms to every sum so far, a cell with
+        coefficient 0 repeats the sums q times.  One vertex takes one term
+        per cell, the term for its value.
 
         With `complement`, the fingerprints are of the vertices' orthogonal
         complements and this object is built for `params.dual()`.  For a
@@ -147,6 +149,24 @@ class _Fingerprints:
         fingerprinted canonically; the free cell (i, j) holds -A[i][j] in
         column p_i of the row of j.
         """
+        layout = self._layouts.get((idvec, complement))
+        if layout is None:
+            layout = self._layouts[idvec, complement] = self._layout(idvec, complement)
+        if values is not None:
+            return [[x] for x in self.packed.fold_all([
+                head + sum(map(getitem, tables, values)) for head, tables in layout])]
+        q, out = self.field.order, []
+        for head, tables in layout:
+            totals = [head]
+            for table in reversed(tables):  # the first cell varies slowest
+                # table[1] is the term of c·1, which is 0 only for c = 0
+                totals = [a + b for a in table for b in totals] if table[1] else totals * q
+            out.append(self.packed.fold_all(totals))
+        return out
+
+    def _layout(self, idvec: tuple[int, ...], complement: bool) -> list[tuple[int, list]]:
+        """Per row r of `coeff_rows`: r times B's pivot 1s, and per free
+        cell (k, j) in `free_cells` order the terms of r_k·v as entry j, by v."""
         q, term = self.field.order, self.term
         pivots = [j for j, b in enumerate(idvec) if b]
         cells = free_cells(idvec)
@@ -161,21 +181,8 @@ class _Fingerprints:
         else:
             leads, tables = pivots, term  # leads: the column of each row's pivot 1
         ones = [[tc[1] for tc in term[j]] for j in leads]  # ones[k][c]: c·(row k's pivot 1)
-        heads = [sum(map(getitem, ones, r)) for r in self.coeff_rows]
-        if values is not None:  # one term per cell, by the cell's row; c = 0 gives 0
-            row_of_cell = [k for k, _ in cells]
-            picked = [[tc[v] for tc in tables[j]] for (_, j), v in zip(cells, values)]
-            return [[x] for x in self.packed.fold_all([
-                head + sum(map(getitem, picked, map(r.__getitem__, row_of_cell)))
-                for head, r in zip(heads, self.coeff_rows)])]
-        out = []
-        for head, r in zip(heads, self.coeff_rows):
-            totals = [head]
-            for k, j in reversed(cells):  # the first cell varies slowest
-                c = r[k]
-                totals = [a + b for a in tables[j][c] for b in totals] if c else totals * q
-            out.append(self.packed.fold_all(totals))
-        return out
+        return [(sum(map(getitem, ones, r)), [tables[j][r[k]] for k, j in cells])
+                for r in self.coeff_rows]
 
     def subspace(self, fingerprint: tuple[int, ...]) -> Subspace:
         """The t-subspace a fingerprint stands for."""
@@ -195,13 +202,12 @@ def _first_clash(params: GrassmannParams, entries: Sequence[tuple[str, int]]
     canonical, is parsed only when its class is fingerprinted, and only the
     reported pair is decoded.
     """
-    parse, fp, n = _KeyParser(params).parse, _Fingerprints(params), params.n
-    combos = list(zip(*fp.columns))
+    parse, fp = _KeyParser(params).parse, _Fingerprints(params)
 
     def fingerprints(i: int) -> Iterable[tuple[int, ...]]:
-        pivots, values = parse(entries[i][0])
-        rows = fp.block(tuple(int(j in pivots) for j in range(n)), values=values)
-        return [tuple(rows[x][0] for x in combo) for combo in combos]
+        idvec, values = parse(entries[i][0])
+        rows = [x for x, in fp.block(idvec, values=values)]
+        return zip(*[map(rows.__getitem__, column) for column in fp.columns])
     clash = colour_clash([c for _, c in entries], fingerprints)
     if clash is None:
         return None
@@ -267,11 +273,9 @@ def _clashing_colours(params: GrassmannParams, blocks: Iterable[Sequence[int]]) 
                 code = map(mul, map(add, code, rows[x]), itertools.repeat(base))
             codes += map(add, code, rows[last])
     codes.sort()
-    if not any(map(eq, codes, itertools.islice(codes, 1, None))):
-        return set()
-    repeated = itertools.compress(codes, map(eq, codes, itertools.islice(codes, 1, None)))
     scale = base ** len(fp.columns)  # exact for any integer colour, as floor division
-    return {code // scale for code in repeated}
+    return {code // scale for code in itertools.compress(
+        codes, map(eq, codes, itertools.islice(codes, 1, None)))}
 
 
 class _KeyParser:
@@ -296,7 +300,7 @@ class _KeyParser:
         self._specs: dict[tuple[int, ...], tuple] = {}
 
     def parse(self, key: str) -> tuple[tuple[int, ...], list[int]] | None:
-        """(pivots, free-cell values) of a canonical key, else None."""
+        """(identifying vector, free-cell values) of a canonical key, else None."""
         if not (key.startswith(self.head) and key.endswith("]]")):
             return None
         cells = key[len(self.head):-2].replace("],[", ",").split(",")
@@ -309,15 +313,15 @@ class _KeyParser:
             return None
         spec = self._specs.get(pivots)
         if spec is None:
-            idvec = [1 if j in pivots else 0 for j in range(self.n)]
-            spec = self._specs[pivots] = (pivots, key_template(self.field, idvec), [
+            idvec = tuple(1 if j in pivots else 0 for j in range(self.n))
+            spec = self._specs[pivots] = (idvec, key_template(self.field, idvec), [
                 i * self.n + j for i, j in free_cells(idvec)])
-        pivots, template, at = spec  # one pivots tuple per pivot set
+        idvec, template, at = spec
         texts = [cells[x] for x in at]
         if template.format(*texts) != key:
             return None
         try:
-            return pivots, list(map(self.value_of.__getitem__, texts))
+            return idvec, list(map(self.value_of.__getitem__, texts))
         except KeyError:
             return None
 
