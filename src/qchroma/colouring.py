@@ -31,11 +31,13 @@ colours from all sums of cell terms at once.  In the dual regime the
 complement's RREF is read off its column rank profile by one walk over
 its columns, which the vertices of an identifying vector share up to
 their first differing row (`_CosetColourer.dual_block`).  A point query
-(`colour_subspace`) reads the same tables for one vertex.  In the dual
-regime over F_2 it walks the complement's columns packed as integers,
-reducing each by XOR (`_colour_dual_f2`); over other fields it eliminates
-the complement's scaffold (`matq._complement_of_rref`).  In the complete
-regime the colour is the running index.
+(`colour_subspace`) reads the same tables for one vertex, at the pivots
+the `Subspace` keeps.  In the dual regime over F_2 it walks the
+complement's columns packed as n-bit integers, reducing each by XOR, with
+each basis row's integer cached on the context (`_colour_dual_f2`); over
+other fields it eliminates the complement's scaffold
+(`matq._complement_of_rref`).  In the complete regime the colour is the
+running index.
 `rankmetric.unlift` plus `rankmetric.coset_index` is the reference the
 tests compare both paths against.
 
@@ -90,6 +92,13 @@ class ColourContext:
     _specs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # dual regime: the terms of each complement non-pivot column (`_dual_syndromes`)
     _syndromes: list | None = field(default=None, init=False, repr=False, compare=False)
+    # dual regime over F_2: each basis row met, as an int with bit j for column j,
+    # without its pivot bit, and the unit columns (`_colour_dual_f2`)
+    _row_bits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _units: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._units = tuple(1 << c for c in range(self.params.n))
 
 
 def make_context(params: GrassmannParams, johnson_method: str = "greedy") -> ColourContext:
@@ -167,17 +176,21 @@ def _colour_dual_f2(ctx: ColourContext, rows: tuple[tuple[int, ...], ...],
 
     The complement's RREF is read off its column rank profile, as in
     `_CosetColourer.dual_block`, by one walk over the columns of the rows
-    spanning S⊥, each an int with bit 8f for the row of S's non-pivot f: a
+    spanning S⊥, each an int with bit f for the row of S's non-pivot f: a
     unit at a non-pivot, row i of S without its pivot 1 at pivot p_i (over
-    F_2, -x = x).  Each column is reduced by XOR against the complement
-    pivots found before it, each with the mask of the columns it sums, bit
-    r for the r-th pivot.  A column left nonzero is a pivot; one reduced to
-    0 has as coordinate code the XOR of the masks used.
+    F_2, -x = x).  The units and each row's int are cached on the context,
+    which holds no counts.  Each column is reduced by XOR against the
+    complement pivots found before it, each with the mask of the columns it
+    sums, bit r for the r-th pivot.  A column left nonzero is a pivot; one
+    reduced to 0 has as coordinate code the XOR of the masks used.
     """
-    syndromes = _dual_syndromes(ctx)
-    columns = [1 << 8 * c for c in range(ctx.params.n)]
+    syndromes, row_bits = _dual_syndromes(ctx), ctx._row_bits
+    columns = list(ctx._units)
     for row, p in zip(rows, pivots):
-        columns[p] ^= int.from_bytes(bytes(row), "little")
+        x = row_bits.get(row)
+        if x is None:
+            x = row_bits[row] = sum(1 << j for j, b in enumerate(row) if b) ^ 1 << p
+        columns[p] = x
     found, dual_pivots, total = [], [], 0  # found: (lowest bit, column, mask)
     for c, x in enumerate(columns):
         a = 0
@@ -203,12 +216,12 @@ def colour_subspace(ctx: ColourContext, S: Subspace) -> int:
     (`_colour_dual_f2`), over other fields brought there by one elimination
     (`matq._complement_of_rref`).
     """
-    p = ctx.params
-    if S.q != p.q or S.n != p.n or S.m != p.m:
+    p, pivots = ctx.params, S.pivots
+    if S.basis.field.order != p.q or len(S.idvec) != p.n or len(pivots) != p.m:
         raise ValueError("subspace does not belong to this graph")
     if ctx.regime == COMPLETE:
         return enumeration_index(S)
-    rows, pivots = S.basis.rows, S.pivot_columns()
+    rows = S.basis.rows
     if ctx.regime == DUAL:
         if p.q == 2:
             return _colour_dual_f2(ctx, rows, pivots)
@@ -531,8 +544,8 @@ def certificate_to_json(cert: ColourCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> ColourCertificate:
-    doc = json.loads(text)
     try:
+        doc = json.loads(text)
         p = doc["params"]
         params = GrassmannParams(int(p["q"]), int(p["n"]), int(p["m"]), int(p["t"]))
         johnson = doc.get("johnson")
@@ -560,7 +573,8 @@ def certificate_from_json(text: str) -> ColourCertificate:
             proper=verified.get("proper"),
             pairs_checked=int(verified.get("pairs_checked", "0")),
             family_sizes=fam)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # wrong JSON shapes too
+    # wrong JSON shapes too, and nesting deeper than the parser's recursion limit
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
 
 

@@ -70,10 +70,24 @@ def regime_of(params: GrassmannParams) -> str:
     return COMPLETE
 
 
-class Subspace:
-    """An m-dimensional subspace of F_q^n in canonical RREF form."""
+@functools.lru_cache(maxsize=4096)
+def _pivot_layout(n: int, pivots: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(pivots, identifying vector) of an RREF basis, one shared pair per pivot set.
 
-    __slots__ = ("basis", "idvec")
+    Bounded, so a process that meets many pivot sets keeps only the recent ones.
+    """
+    return pivots, tuple(1 if j in pivots else 0 for j in range(n))
+
+
+class Subspace:
+    """An m-dimensional subspace of F_q^n in canonical RREF form.
+
+    Besides its basis it holds the basis's pivot columns and identifying
+    vector, interned by `_pivot_layout`: subspaces with the same n and
+    pivot set share one `pivots` tuple and one `idvec` tuple.
+    """
+
+    __slots__ = ("basis", "idvec", "pivots")
 
     def __init__(self, basis: MatrixFq):
         pivots = rref_pivots(basis)
@@ -82,10 +96,7 @@ class Subspace:
         if len(pivots) != basis.nrows:
             raise ValueError("basis has a zero row")
         self.basis = basis
-        idvec = [0] * basis.ncols
-        for j in pivots:
-            idvec[j] = 1
-        self.idvec = tuple(idvec)
+        self.pivots, self.idvec = _pivot_layout(basis.ncols, pivots)
 
     @classmethod
     def from_matrix(cls, M: MatrixFq) -> "Subspace":
@@ -108,7 +119,7 @@ class Subspace:
         return self.basis.nrows
 
     def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(j for j, b in enumerate(self.idvec) if b)
+        return self.pivots
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self.basis == other.basis

@@ -192,6 +192,16 @@ def test_validation_errors_exit_1(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_deeply_nested_certificate_exits_1(capsys, tmp_path):
+    # nesting beyond the JSON parser's recursion limit is refused as
+    # malformed input, not raised as RecursionError
+    cert = os.path.join(tmp_path, "nested.json")
+    open(cert, "w").write("[" * 100_000 + "]" * 100_000)
+    assert main(["verify", "--cert", cert]) == 1
+    err = capsys.readouterr().err
+    assert "malformed certificate" in err and "Traceback" not in err
+
+
 def test_colour_cap_exit_1(tmp_path):
     assert main(["colour", "--q", "2", "--n", "6", "--m", "3", "--t", "1",
                  "--cap", "100"]) == 1

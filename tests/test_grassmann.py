@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qchroma.ff import field_for_order, field_make
@@ -94,6 +96,23 @@ def test_subspace_rejects_bad_basis():
     assert S.basis == MatrixFq.identity(F2, 2)
     with pytest.raises(ValueError):
         Subspace.from_matrix(MatrixFq.from_indices(F2, [[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("q,n,m", [(2, 5, 2), (4, 4, 2), (9, 3, 1)])
+def test_pivot_layout_is_interned(q, n, m):
+    # every vertex, decoded from its key or spanned by its rows in reverse
+    # order too, holds the pivots and identifying vector that every vertex
+    # with its pivot set shares
+    field = field_for_order(q)
+    layouts = {}
+    for S in enumerate_subspaces(q, n, m):
+        spans = Subspace.from_matrix(MatrixFq(field, S.basis.rows[::-1]))
+        for T in (S, decode_subspace(encode_subspace(S)), spans):
+            assert T.basis == S.basis
+            assert T.pivot_columns() == tuple(j for j, b in enumerate(T.idvec) if b)
+            pivots, idvec = layouts.setdefault(T.pivot_columns(), (T.pivots, T.idvec))
+            assert T.pivots is pivots and T.idvec is idvec
+    assert len(layouts) == math.comb(n, m)
 
 
 def test_adjacency():
