@@ -33,11 +33,10 @@ its columns, which the vertices of an identifying vector share up to
 their first differing row (`_CosetColourer.dual_block`).  A point query
 (`colour_subspace`) reads the same tables for one vertex, at the pivots
 the `Subspace` keeps.  In the dual regime over F_2 it walks the
-complement's columns packed as n-bit integers, reducing each by XOR, with
-each basis row's integer cached on the context (`_colour_dual_f2`); over
-other fields it eliminates the complement's scaffold
-(`matq._complement_of_rref`).  In the complete regime the colour is the
-running index.
+complement's columns packed as n-bit integers, reducing each by XOR
+(`_colour_dual_f2`); over other fields it eliminates the complement's
+scaffold (`matq._complement_of_rref`).  In the complete regime the colour
+is the running index.
 `rankmetric.unlift` plus `rankmetric.coset_index` is the reference the
 tests compare both paths against.
 
@@ -75,6 +74,7 @@ from .verify import _clash_of_blocks, verify_properness
 
 DEFAULT_VERTEX_CAP = 100_000
 AUTO_VERIFY_LIMIT = 20_000
+_BITS = bytes.maketrans(b"\0\1", b"01")  # F_2 entries, as bytes, to binary digits
 
 @dataclass
 class ColourContext:
@@ -92,9 +92,7 @@ class ColourContext:
     _specs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # dual regime: the terms of each complement non-pivot column (`_dual_syndromes`)
     _syndromes: list | None = field(default=None, init=False, repr=False, compare=False)
-    # dual regime over F_2: each basis row met, as an int with bit j for column j,
-    # without its pivot bit, and the unit columns (`_colour_dual_f2`)
-    _row_bits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # dual regime over F_2: the unit columns, bit c for column c (`_colour_dual_f2`)
     _units: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -178,19 +176,20 @@ def _colour_dual_f2(ctx: ColourContext, rows: tuple[tuple[int, ...], ...],
     `_CosetColourer.dual_block`, by one walk over the columns of the rows
     spanning S⊥, each an int with bit f for the row of S's non-pivot f: a
     unit at a non-pivot, row i of S without its pivot 1 at pivot p_i (over
-    F_2, -x = x).  The units and each row's int are cached on the context,
-    which holds no counts.  Each column is reduced by XOR against the
-    complement pivots found before it, each with the mask of the columns it
-    sums, bit r for the r-th pivot.  A column left nonzero is a pivot; one
-    reduced to 0 has as coordinate code the XOR of the masks used.
+    F_2, -x = x).  The rows are read as one binary numeral, n bits a row,
+    and the units are prebuilt on the context.  Each column is reduced by
+    XOR against the complement pivots found before it, each with the mask
+    of the columns it sums, bit r for the r-th pivot.  A column left nonzero
+    is a pivot; one reduced to 0 has as coordinate code the XOR of the
+    masks used.
     """
-    syndromes, row_bits = _dual_syndromes(ctx), ctx._row_bits
-    columns = list(ctx._units)
-    for row, p in zip(rows, pivots):
-        x = row_bits.get(row)
-        if x is None:
-            x = row_bits[row] = sum(1 << j for j, b in enumerate(row) if b) ^ 1 << p
-        columns[p] = x
+    syndromes, n = _dual_syndromes(ctx), ctx.params.n
+    columns, row_mask = list(ctx._units), (1 << n) - 1
+    # all rows as one numeral: entry j of row i is bit i * n + j
+    x = int(b"".join(map(bytes, rows)).translate(_BITS)[::-1], 2)
+    for p in pivots:
+        columns[p] = x & row_mask ^ 1 << p
+        x >>= n
     found, dual_pivots, total = [], [], 0  # found: (lowest bit, column, mask)
     for c, x in enumerate(columns):
         a = 0

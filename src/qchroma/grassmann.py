@@ -76,7 +76,10 @@ def _pivot_layout(n: int, pivots: tuple[int, ...]) -> tuple[tuple[int, ...], tup
 
     Bounded, so a process that meets many pivot sets keeps only the recent ones.
     """
-    return pivots, tuple(1 if j in pivots else 0 for j in range(n))
+    idvec = [0] * n
+    for j in pivots:
+        idvec[j] = 1
+    return pivots, tuple(idvec)
 
 
 class Subspace:

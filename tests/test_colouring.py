@@ -425,20 +425,6 @@ def test_point_queries_build_no_subspace_and_no_coset_index(p, monkeypatch):
         assert c == ctx.class_of_idvec[u] * ctx.coset_block + rankmetric.coset_index(ctx.code, A)
 
 
-@pytest.mark.parametrize("p", [(2, 7, 4, 2), (2, 11, 7, 5)])
-def test_f2_row_bits_cached_on_the_context_change_no_colour(p):
-    # the dual F_2 column walk keeps each basis row's bits on the context;
-    # vertices coloured on one shared context get the colours they get on
-    # a fresh context each (a copy of an unused one, its caches empty)
-    params = GrassmannParams(*p)
-    verts = _random_vertices(params, 500, random.Random(sum(p)))
-    shared, unused = col.make_context(params), col.make_context(params)
-    colours = [col.colour_subspace(shared, S) for S in verts]
-    assert shared._row_bits
-    assert colours == [col.colour_subspace(dataclasses.replace(unused), S) for S in verts]
-    assert not unused._row_bits
-
-
 @pytest.mark.parametrize("p", [(2, 6, 3, 2), (2, 5, 3, 2)])
 def test_point_queries_leave_the_certificate_unchanged(p):
     # colouring every vertex one at a time first changes neither the
