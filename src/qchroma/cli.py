@@ -40,6 +40,8 @@ def build_parser() -> _Parser:
     p = subs.add_parser("enumerate", help="list canonical subspace keys")
     _add_params(p, require_t=False)
     p.add_argument("--out", help="write to this file instead of stdout")
+    p.add_argument("--cap", type=int, default=col.DEFAULT_VERTEX_CAP,
+                   help="refuse to list more subspaces than this")
 
     p = subs.add_parser("colour", help="colour every vertex, emit a certificate")
     _add_params(p)
@@ -101,6 +103,7 @@ def _cmd_enumerate(args) -> int:
     if not 1 <= args.m <= args.n:
         raise ValueError(f"need 1 <= m <= n, got m={args.m}, n={args.n}")
     field = gr.field_for_order(args.q)  # refuses a q that is not a prime power
+    col.check_vertex_cap(gr.gaussian_binomial(args.n, args.m, args.q), args.cap)
     _emit(("\n".join(gr.block_keys(field, v)) + "\n"  # one block of keys at a time
            for v in gr.weight_vectors_lex(args.n, args.m)), args.out)
     return 0
@@ -108,7 +111,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_colour(args) -> int:
     params = _params(args)
-    col.check_vertex_cap(params, args.cap)  # before the context build
+    col.check_vertex_cap(params.vertex_count(), args.cap)  # before the context build
     ctx = col.make_context(params, args.johnson)
     verify = True if args.verify else None
     cert = col.full_colouring(ctx, verify=verify, vertex_cap=args.cap)

@@ -36,7 +36,12 @@ the `Subspace` keeps.  In the dual regime over F_2 it walks the
 complement's columns packed as n-bit integers, reducing each by XOR
 (`_colour_dual_f2`); over other fields it eliminates the complement's
 scaffold (`matq._complement_of_rref`).  In the complete regime the colour
-is the running index.
+is the running index.  The coset families the certificate reports are
+computed from the code, not counted per vertex: the coset index is
+F_q-linear in the free cells, so an identifying vector's family is the
+image of its free cells' syndromes, each coset hit equally often
+(`_family`).  In the dual regime S ↦ S⊥ is a bijection, so the families
+are those of `params.dual()`'s identifying vectors.
 `rankmetric.unlift` plus `rankmetric.coset_index` is the reference the
 tests compare both paths against.
 
@@ -56,10 +61,9 @@ this module.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import add, getitem, itemgetter, mul
+from operator import add, getitem
 
 from .grassmann import (COMPLETE, DIRECT, DUAL, GrassmannParams, Subspace, block_keys,
                         degree_formula, enumeration_index, free_cells, regime_of,
@@ -135,8 +139,8 @@ def _spec(ctx: ColourContext, pivots: tuple[int, ...]
     """(class * block, free cells, their syndrome-table rows) of a pivot set.
 
     Direct-regime pivots: in the dual regime, those of the complement.
-    Cached on the context; it holds no counts, so colouring single vertices
-    leaves what `full_colouring` reports unchanged.
+    Cached on the context, for the direct kernel, point queries and
+    `_family`; it holds no colouring's state.
     """
     spec = ctx._specs.get(pivots)
     if spec is None:
@@ -209,11 +213,10 @@ def colour_subspace(ctx: ColourContext, S: Subspace) -> int:
     """Colour id of one vertex; deterministic and context-pure.
 
     The colour `full_colouring` gives S, read from the same syndrome table
-    and per-pivot-set cache, with no `Subspace` built and no coset family
-    counted.  In the dual regime the rows are those of S's orthogonal
-    complement in RREF: over F_2 read off one walk over its columns
-    (`_colour_dual_f2`), over other fields brought there by one elimination
-    (`matq._complement_of_rref`).
+    and per-pivot-set cache, with no `Subspace` built.  In the dual regime
+    the rows are those of S's orthogonal complement in RREF: over F_2 read
+    off one walk over its columns (`_colour_dual_f2`), over other fields
+    brought there by one elimination (`matq._complement_of_rref`).
     """
     p, pivots = ctx.params, S.pivots
     if S.basis.field.order != p.q or len(S.idvec) != p.n or len(pivots) != p.m:
@@ -290,25 +293,24 @@ def bounds_report(params: GrassmannParams, johnson_method: str = "greedy",
             "trivial_upper": trivial_upper, "johnson_palette": johnson_palette}
 
 
-def check_vertex_cap(params: GrassmannParams, vertex_cap: int) -> int:
-    """The vertex count, or ValueError when it exceeds the cap."""
-    total = params.vertex_count()
+def check_vertex_cap(total: int, vertex_cap: int) -> int:
+    """The vertex count `total`, or ValueError when it exceeds the cap."""
     if total > vertex_cap:
         raise ValueError(f"vertex count {total} exceeds the cap {vertex_cap}")
     return total
 
 
 class _CosetColourer:
-    """`full_colouring`'s colours and the coset family counts it reports.
+    """`full_colouring`'s colours, and the coset families it reports.
 
-    Colours come from the context's syndrome table through `_spec`; the
-    counts, per pivot set, are kept here and reported by `families`, and so
-    are the dual regime's walk states, for one colouring.
+    Colours come from the context's syndrome table: `block` through
+    `_spec`, `dual_block` through the dual regime's walk states, kept here
+    for one colouring with each complement pivot mask's class base.  The
+    families are computed from the code, not counted per vertex (`_family`).
     """
 
     def __init__(self, ctx: ColourContext):
         self.ctx = ctx
-        self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         if ctx.regime != DUAL:
             return
         # walk states, a trie from the empty state 0: rank, span (every
@@ -316,17 +318,15 @@ class _CosetColourer:
         self._ranks, self._spans, self._children = [0], [{0: 0}], [{}]
         self._segments: dict[tuple[int, int, int], dict] = {}
         self._syndromes = _dual_syndromes(ctx)
+        self._bases: dict[int, int] = {}  # class * block per complement pivot mask
 
     def block(self, idvec: tuple[int, ...]) -> list[int]:
         """Colours of all vertices with this identifying vector, in `rref_bases` order."""
-        pivots = tuple(j for j, b in enumerate(idvec) if b)
-        base, _, terms = _spec(self.ctx, pivots)
+        base, _, terms = _spec(self.ctx, tuple(j for j, b in enumerate(idvec) if b))
         totals = [0]
         for row in reversed(terms):  # the first cell varies slowest
             totals = [a + b for a in row for b in totals]
-        cosets = self.ctx.table.indices(totals)
-        self.counts.setdefault(pivots, Counter()).update(cosets)
-        return [base + c for c in cosets]
+        return [base + c for c in self.ctx.table.indices(totals)]
 
     def dual_block(self, idvec: tuple[int, ...]) -> list[int]:
         """`block` in the dual regime, from the RREF of each vertex's
@@ -338,47 +338,42 @@ class _CosetColourer:
         code, pivot p_i holds row i's free cells, negated.  A column is an
         RREF pivot exactly when it is outside the span of the pivot columns
         before it, and otherwise holds its coordinates in them, which add
-        one `_syndromes` term.  The walk runs one row of S at a time over
-        a frontier of (state, pivot mask) nodes and their summed terms, so
-        vertices share it up to their first differing row.
+        one `_syndromes` term.  The walk runs one row of S at a time over a
+        frontier of walk states, complement pivot masks and summed terms,
+        three parallel lists, so vertices share it up to their first
+        differing row.
         """
         q, n = self.ctx.params.q, len(idvec)
         neg = _arithmetic(self.ctx.params.field)[0]
         pivots = [j for j, b in enumerate(idvec) if b]
         ends = pivots[1:] + [n]
         s, total, mask = self._segment(0, pivots[0], 0, 0)
-        frontier, totals = [(s, mask)], [total]
+        states, masks, totals = [s], [mask], [total]
         for i, p in enumerate(pivots):
             codes = [0]  # column p over row i's values, the first cell slowest
             for k in reversed(range(p - i, n - len(pivots))):
                 codes = [neg[v] * q ** k + b for v in range(q) for b in codes]
-            walks, nexts, terms = {}, {}, {}  # per state; per node
-            for node in dict.fromkeys(frontier):
-                s, mask = node
-                if s not in walks:
-                    walks[s] = [self._segment(p + 1, ends[i], i + 1, *self._step(s, p, x))
-                                for x in codes]
-                nexts[node] = [(s2, mask | dm) for s2, _, dm in walks[s]]
-                terms[node] = [dt for _, dt, _ in walks[s]]
-            totals = [t + dt for node, t in zip(frontier, totals) for dt in terms[node]]
-            frontier = [child for node in frontier for child in nexts[node]]
-        cosets = self.ctx.table.indices(totals)
-        masks = list(map(itemgetter(1), frontier))
-        bases, families = {}, {}  # per complement pivot mask
-        for mask in dict.fromkeys(masks):
-            dual_pivots = tuple(c for c in range(n) if mask >> c & 1)
-            bases[mask] = _spec(self.ctx, dual_pivots)[0]
-            families[mask] = self.counts.setdefault(dual_pivots, Counter())
-        for (mask, c), k in Counter(zip(masks, cosets)).items():
-            families[mask][c] += k
-        return list(map(add, map(bases.__getitem__, masks), cosets))
-
-    def _step(self, s: int, c: int, x: int) -> tuple[int, int, int]:
-        """(state, term, pivot bit) after column c with code x, from state s."""
-        a = self._spans[s].get(x)
-        if a is None:
-            return self._grow(s, x), 0, 1 << c
-        return s, self._syndromes[c - self._ranks[s]][a], 0
+            walks = {}  # per state: next states, terms and pivot bits, one per code
+            for s in dict.fromkeys(states):
+                # a code in the span keeps the state: one segment serves them all
+                kept, dt, dm = self._segment(p + 1, ends[i], i + 1, s)
+                span, terms = self._spans[s], self._syndromes[p - self._ranks[s]]
+                children, walk = self._children[s], []
+                for x in codes:
+                    a = span.get(x)
+                    walk.append((kept, dt + terms[a], dm) if a is not None else
+                                self._segment(p + 1, ends[i], i + 1,
+                                              children.get(x) or self._grow(s, x), 0, 1 << p))
+                walks[s] = tuple(zip(*walk))
+            totals = [t + dt for s, t in zip(states, totals) for dt in walks[s][1]]
+            masks = [mask | dm for s, mask in zip(states, masks) for dm in walks[s][2]]
+            if p != pivots[-1]:  # the last row's states are not read
+                states = [s2 for s in states for s2 in walks[s][0]]
+        bases = self._bases
+        for mask in set(masks).difference(bases):
+            u = tuple(mask >> c & 1 for c in range(n))
+            bases[mask] = self.ctx.class_of_idvec[u] * self.ctx.coset_block
+        return list(map(add, map(bases.__getitem__, masks), self.ctx.table.indices(totals)))
 
     def _segment(self, lo: int, hi: int, row: int, s: int, dt: int = 0, dm: int = 0
                  ) -> tuple[int, int, int]:
@@ -389,15 +384,23 @@ class _CosetColourer:
             if s not in memo:
                 walked, terms, bits = s, 0, 0
                 for c in range(lo, hi):
-                    walked, term, bit = self._step(walked, c, self.ctx.params.q ** (c - row))
-                    terms, bits = terms + term, bits | bit
+                    x = self.ctx.params.q ** (c - row)
+                    a = self._spans[walked].get(x)
+                    if a is None:
+                        walked = self._children[walked].get(x) or self._grow(walked, x)
+                        bits |= 1 << c
+                    else:
+                        terms += self._syndromes[c - self._ranks[walked]][a]
                 memo[s] = walked, terms, bits
             s, terms, bits = memo[s]
             dt, dm = dt + terms, dm | bits
         return s, dt, dm
 
     def _grow(self, s: int, x: int) -> int:
-        """The state after state s meets the column x outside its span."""
+        """The state after state s meets the column x outside its span.
+
+        A child is never the empty state 0, so `children.get(x) or` skips the call.
+        """
         child = self._children[s].get(x)
         if child is None:
             q, r = self.ctx.params.q, self._ranks[s]
@@ -416,10 +419,40 @@ class _CosetColourer:
         return child
 
     def families(self) -> dict[str, dict[int, int]]:
-        """Coset family sizes keyed by identifying vector, as `0`/`1` text."""
-        n = self.ctx.params.n
-        return {"".join("1" if j in pivots else "0" for j in range(n)): family
-                for pivots, family in self.counts.items()}
+        """Coset family sizes of every identifying vector of the coloured
+        graph (`params.dual()`'s in the dual regime), keyed as `0`/`1` text.
+
+        S ↦ S⊥ is a bijection, so the dual regime's family at complement
+        pivots D is the direct family of `params.dual()` at D.
+        """
+        p = self.ctx.params
+        coloured = p if self.ctx.regime == DIRECT else p.dual()
+        return {"".join(map(str, u)): _family(self.ctx, tuple(j for j, b in enumerate(u) if b))
+                for u in weight_vectors_lex(coloured.n, coloured.m)}
+
+
+def _family(ctx: ColourContext, pivots: tuple[int, ...]) -> dict[int, int]:
+    """{coset index: vertices} of the identifying vector with these pivots.
+
+    The coset index is F_q-linear in the free cells, so the cosets hit are
+    the image I of the free cells' syndromes, a subspace, and each is hit
+    q^(cells - dim I) times.  I is spanned cell by cell, in order: a cell
+    whose syndrome lies outside the span so far adds its nonzero multiples
+    to every sum, and only those new sums are folded.  Once I reaches the
+    whole coset space the sums stop.
+    """
+    table, (_, _, terms) = ctx.table, _spec(ctx, pivots)
+    sums, image = [0], {0}
+    for row, syndrome in zip(terms, table.indices([row[1] for row in terms])):
+        if syndrome in image:
+            continue
+        if len(image) * ctx.params.q == ctx.coset_block:
+            image = range(ctx.coset_block)
+            break
+        new = [a + b for a in row[1:] for b in sums]
+        image.update(table.indices(new))
+        sums += new
+    return dict.fromkeys(image, ctx.params.q ** len(terms) // len(image))
 
 
 def full_colouring(ctx: ColourContext, verify: bool | None = None,
@@ -436,7 +469,7 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
     it in the certificate.
     """
     params = ctx.params
-    total = check_vertex_cap(params, vertex_cap)
+    total = check_vertex_cap(params.vertex_count(), vertex_cap)
     if verify is None:
         verify = total <= AUTO_VERIFY_LIMIT
 

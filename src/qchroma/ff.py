@@ -26,25 +26,55 @@ change after construction.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 DESK_ORDER_LIMIT = 2 ** 20
 _TABLE_LIMIT = 2 ** 16
 
 
+# Miller-Rabin with these bases decides primality for every n below
+# _PROVEN_LIMIT (Sorenson and Webster, 2015); nothing above it is decided
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality; ValueError at or above _PROVEN_LIMIT."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:  # every prime up to 41, in order
+        if n % p == 0:
+            return n == p
+        if n < p * p:  # no prime factor up to p
+            return True
+    if n >= _PROVEN_LIMIT:
+        raise ValueError(f"{n} is too large to prove prime (limit {_PROVEN_LIMIT})")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _iroot(x: int, k: int) -> int:
+    """floor(x ** (1/k)) for x >= 1 whose k-th root is within float range:
+    integer Newton steps down from just above a float estimate."""
+    r = int(math.exp(math.log(x) / k) * (1 + 1e-9)) + 1
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -63,18 +93,32 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Write q = p^k with p prime, or raise ValueError."""
+    """Write q = p^k with p prime, or raise ValueError.
+
+    A q with a prime factor p up to 41 must be a power of p.  Otherwise
+    every prime factor exceeds 2^5, and the largest k <= log_32(q) with an
+    integer k-th root r of q is the only candidate: if q = p^k, every other
+    exact root is a power of p.  r's primality is decided by `is_prime`, so
+    a q whose root is too large to prove prime is refused, not guessed;
+    the k whose roots would all be that large are not tried.
+    """
     if q < 2:
         raise ValueError(f"q = {q} is not a prime power")
-    ps = prime_factors(q)
-    if len(ps) != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    p = ps[0]
-    k = 0
-    while q > 1:
-        q //= p
-        k += 1
-    return p, k
+    for p in _MR_BASES:
+        if q % p == 0:
+            k = round(math.log(q, p))
+            if p ** k == q:
+                return p, k
+            raise ValueError(f"q = {q} is not a prime power")
+    # a root r < _PROVEN_LIMIT < 2^82 needs 82k >= bits(q); below that k, no root is provable
+    low = -(-q.bit_length() // _PROVEN_LIMIT.bit_length())
+    for k in range((q.bit_length() - 1) // 5, low - 1, -1):
+        r = _iroot(q, k)
+        if r ** k == q:
+            if is_prime(r):
+                return r, k
+            raise ValueError(f"q = {q} is not a prime power")
+    raise ValueError(f"q = {q} is too large to decide whether it is a prime power")
 
 
 class FieldSpec:

@@ -9,14 +9,16 @@ when they share at least t elements.  Two proper colourings are provided:
   an intersection of at most t - 1 elements, and the palette is at most r.
 * `greedy_colouring` runs saturation-guided greedy colouring over the
   subsets in lexicographic order; at desk scale it usually beats r.  It
-  refuses more than GREEDY_SUBSET_CAP subsets.
+  refuses more than GREEDY_SUBSET_CAP subsets, and `gs_colouring` more
+  than GS_SUBSET_CAP.
 
 `johnson_colouring` selects one of them by its method name ("greedy" or
 "gs").  `check_method` refuses any other name; `colouring.make_context`
 and `colouring.bounds_report` call it up front, also where they build no
 Johnson colouring.  `gs_fits_desk` says beforehand whether "gs" can build
-its field.  `is_proper` checks a colouring with the certificate verifier's
-clash finder (`verify.colour_clash`), t-subsets as fingerprints.
+its field and list its subsets.  `is_proper` checks a colouring with the
+certificate verifier's clash finder (`verify.colour_clash`), t-subsets as
+fingerprints.
 
 The Bose-Chowla set itself is built from discrete logarithms of the
 projective line spanned by {1, g} in F_{p^{m-t+1}} and then *verified
@@ -39,6 +41,9 @@ from .verify import colour_clash
 # C(12, 6) = 924 subsets and 0.4 s at C(14, 7) = 3 432 on a 2-vCPU Xeon; the
 # cap stays where it was set, so the same sizes are refused
 GREEDY_SUBSET_CAP = 1_000
+# gs lists every subset with its colour: 0.3 s at C(20, 10) = 184 756 on a
+# 2-vCPU Xeon, and about 190 MB at C(22, 11) = 705 432
+GS_SUBSET_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,10 @@ def bose_chowla(p: int, h: int) -> BoseChowlaSet:
 
 def gs_fits_desk(n: int, m: int, t: int) -> bool:
     """Whether `gs_colouring` of J(n, m, t) can build its field F_{p^(m-t+1)},
-    p the smallest prime >= n + 1, within ff.DESK_ORDER_LIMIT."""
-    return smallest_prime_geq(n + 1) ** (m - t + 1) <= DESK_ORDER_LIMIT
+    p the smallest prime >= n + 1, within ff.DESK_ORDER_LIMIT, and list its
+    C(n, m) subsets within GS_SUBSET_CAP."""
+    return (comb(n, m) <= GS_SUBSET_CAP
+            and smallest_prime_geq(n + 1) ** (m - t + 1) <= DESK_ORDER_LIMIT)
 
 
 def _bose_chowla_search(p: int, h: int, r: int) -> tuple[int, ...]:
@@ -143,8 +150,14 @@ def _bose_chowla_search(p: int, h: int, r: int) -> tuple[int, ...]:
 
 
 def gs_colouring(n: int, m: int, t: int) -> JohnsonColouring:
-    """Sum-of-placements colouring with palette at most r."""
+    """Sum-of-placements colouring with palette at most r.
+
+    Refuses more than GS_SUBSET_CAP subsets before the field is built.
+    """
     _validate(n, m, t)
+    if comb(n, m) > GS_SUBSET_CAP:
+        raise ValueError(f"gs colouring of J({n},{m},{t}) lists {comb(n, m)} subsets, "
+                         f"above the cap {GS_SUBSET_CAP}")
     h = m - t
     p = smallest_prime_geq(n + 1)
     bc = bose_chowla(p, h)

@@ -300,3 +300,56 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "J_2(4,2,1): 35 vertices" in done.stdout
+
+
+def _run_limited(args: list[str]) -> tuple[subprocess.CompletedProcess, float]:
+    """`python -m qchroma args` under a 20 s wall-clock limit and a 1 GiB
+    address-space limit; the run and its CPU seconds (user + system)."""
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run([sys.executable, "-m", "qchroma", *args], capture_output=True,
+                          text=True, env=env, timeout=20, preexec_fn=limit_memory)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+    assert done.returncode in (0, 1) and "Traceback" not in done.stderr, done.stderr
+    return done, cpu
+
+
+def test_enumerate_above_the_cap_exits_1_quickly():
+    # 2.0e68 subspaces: refused before the first key is written
+    done, cpu = _run_limited(["enumerate", "--q", "2", "--n", "30", "--m", "15"])
+    assert done.returncode == 1 and done.stdout == "" and cpu < 1.0
+    assert "exceeds the cap 100000" in done.stderr
+    done, _ = _run_limited(["enumerate", "--q", "2", "--n", "4", "--m", "2", "--cap", "34"])
+    assert done.returncode == 1 and "vertex count 35 exceeds the cap 34" in done.stderr
+
+
+def test_gs_above_the_subset_cap_reports_the_residue_ring_quickly():
+    # C(60, 30) = 1.2e17 subsets; the field F_{61^2} alone would be desk scale
+    done, cpu = _run_limited(["bounds", "--q", "2", "--n", "60", "--m", "30", "--t", "29",
+                              "--johnson", "gs"])
+    assert done.returncode == 0 and cpu < 1.0
+    r = johnson.johnson_bounds(60, 30, 29)[1]
+    assert f"johnson residue ring:   {r} (residue-ring bound" in done.stdout
+    done, cpu = _run_limited(["johnson", "--n", "60", "--m", "30", "--t", "29",
+                              "--johnson", "gs"])
+    assert done.returncode == 1 and cpu < 1.0
+    assert "118264581564861424 subsets, above the cap" in done.stderr
+
+
+def test_a_huge_field_order_is_decided_or_refused_quickly():
+    # 2^61 - 1 is prime and provably so; 2^89 - 1 is above the proven range
+    # of the Miller-Rabin bases, so it is refused rather than guessed at
+    done, cpu = _run_limited(["bounds", "--q", "2305843009213693951", "--n", "4",
+                              "--m", "2", "--t", "1"])
+    assert done.returncode == 0 and cpu < 1.0
+    assert done.stdout.startswith("J_2305843009213693951(4,2,1): ")
+    done, cpu = _run_limited(["bounds", "--q", str(2 ** 89 - 1), "--n", "4",
+                              "--m", "2", "--t", "1"])
+    assert done.returncode == 1 and cpu < 1.0 and "too large to decide" in done.stderr

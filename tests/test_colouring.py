@@ -350,6 +350,38 @@ def test_kernel_matches_per_vertex_reference(p):
     assert cert.family_sizes == families
 
 
+@pytest.mark.parametrize("p", [(2, 7, 4, 2), (2, 6, 4, 3), (3, 5, 3, 2), (4, 5, 3, 2)])
+def test_dual_families_are_the_direct_families_of_the_dual_graph(p):
+    # S -> S⊥ is a bijection onto the vertices of params.dual(), so the
+    # family keyed by complement pivots D is the direct family at D
+    params = GrassmannParams(*p)
+    dual = col.full_colouring(col.make_context(params), verify=False)
+    direct = col.full_colouring(col.make_context(params.dual()), verify=False)
+    assert dual.regime == "dual" and direct.regime == "direct"
+    assert dual.family_sizes == direct.family_sizes
+
+
+@pytest.mark.parametrize("p", [(2, 6, 3, 2), (3, 4, 2, 1), (4, 4, 2, 1), (2, 7, 3, 1),
+                               (2, 7, 4, 2), (3, 5, 3, 2), (4, 5, 3, 2), (3, 6, 4, 3)])
+def test_every_family_is_uniform_over_a_power_of_q_cosets(p):
+    # the cosets hit by an identifying vector are the image I of its free
+    # cells, a subspace, each hit q^(cells - dim I) times; one family per
+    # identifying vector of the coloured graph, in both regimes
+    params = GrassmannParams(*p)
+    ctx = col.make_context(params)
+    coloured = params if ctx.regime == "direct" else params.dual()
+    cert = col.full_colouring(ctx, verify=False)
+    assert len(cert.family_sizes) == len(grassmann.weight_vectors_lex(coloured.n, coloured.m))
+    q, powers = p[0], {p[0] ** k for k in range(64)}
+    for key, fam in cert.family_sizes.items():
+        cells = len(grassmann.free_cells(tuple(map(int, key))))
+        assert len(set(fam.values())) == 1 and len(fam) in powers
+        assert next(iter(fam.values())) * len(fam) == sum(fam.values()) == q ** cells
+        assert len(fam) <= ctx.coset_block and all(0 <= c < ctx.coset_block for c in fam)
+    assert sum(s for fam in cert.family_sizes.values() for s in fam.values()) == \
+        gaussian_binomial(p[1], p[2], q)
+
+
 def _counting_subspaces_and_reductions(monkeypatch) -> dict[str, int]:
     """Count `Subspace` constructions, `GabidulinCode._reduce` calls and
     `matq._eliminate` calls from now on."""

@@ -181,3 +181,37 @@ def test_f4_degree_8_modulus_is_found_quickly():
     E = relative_extension(ff.field_for_order(4), 8)
     assert time.perf_counter() - start < 1.0
     assert E.modulus == (1, 0, 0, 0, 0, 2, 0, 3, 1)
+
+
+def test_prime_power_matches_trial_division_and_refuses_what_it_cannot_prove():
+    def by_trial_division(q):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        k = 0
+        while q % p == 0:
+            q, k = q // p, k + 1
+        return (p, k) if q == 1 else None
+
+    def decided(q):
+        try:
+            return ff.prime_power(q)
+        except ValueError:
+            return None
+    for q in range(2, 5000):
+        assert decided(q) == by_trial_division(q)
+        assert ff.is_prime(q) == (by_trial_division(q) == (q, 1))
+    # roots above 41 found by integer k-th roots, primes far beyond trial division
+    for p, k in ((43, 2), (43, 60), (1_000_003, 3), (2 ** 61 - 1, 1), (2 ** 61 - 1, 2),
+                 (2, 100), (3, 1000)):
+        assert ff.prime_power(p ** k) == (p, k)
+    for q in (0, 1, 43 * 47, 43 ** 2 * 47, (2 ** 61 - 1) * 43, 2 ** 100 * 3):
+        with pytest.raises(ValueError, match="not a prime power"):
+            ff.prime_power(q)
+    # a strong pseudoprime to the bases 2..37 is still found composite
+    assert not ff.is_prime(318_665_857_834_031_151_167_461)
+    start = time.perf_counter()
+    beyond = next(q for q in range(ff._PROVEN_LIMIT, ff._PROVEN_LIMIT + 1000)
+                  if all(q % p for p in range(2, 42)))  # no factor the code divides out
+    for q in (2 ** 89 - 1, (2 ** 89 - 1) ** 3, beyond):
+        with pytest.raises(ValueError, match="too large"):
+            ff.prime_power(q)
+    assert time.perf_counter() - start < 1.0
