@@ -16,7 +16,6 @@ from typing import Iterable
 from . import colouring as col
 from . import johnson, oracle
 from . import grassmann as gr
-from .selftest import run_selftest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,7 +102,7 @@ def _cmd_enumerate(args) -> int:
     if not 1 <= args.m <= args.n:
         raise ValueError(f"need 1 <= m <= n, got m={args.m}, n={args.n}")
     field = gr.field_for_order(args.q)  # refuses a q that is not a prime power
-    col.check_vertex_cap(gr.gaussian_binomial(args.n, args.m, args.q), args.cap)
+    gr.check_vertex_cap(args.q, args.n, args.m, args.cap)
     _emit(("\n".join(gr.block_keys(field, v)) + "\n"  # one block of keys at a time
            for v in gr.weight_vectors_lex(args.n, args.m)), args.out)
     return 0
@@ -111,7 +110,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_colour(args) -> int:
     params = _params(args)
-    col.check_vertex_cap(params.vertex_count(), args.cap)  # before the context build
+    gr.check_vertex_cap(params.q, params.n, params.m, args.cap)  # before the context build
     ctx = col.make_context(params, args.johnson)
     verify = True if args.verify else None
     cert = col.full_colouring(ctx, verify=verify, vertex_cap=args.cap)
@@ -210,6 +209,7 @@ def _cmd_johnson(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
     return 0 if run_selftest(seed=args.seed) else 2
 
 

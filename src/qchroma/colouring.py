@@ -66,8 +66,8 @@ from json.encoder import encode_basestring_ascii as _json_string
 from operator import add, getitem
 
 from .grassmann import (COMPLETE, DIRECT, DUAL, GrassmannParams, Subspace, block_keys,
-                        degree_formula, enumeration_index, free_cells, regime_of,
-                        weight_vectors_lex)
+                        check_vertex_cap, degree_formula, enumeration_index, free_cells,
+                        regime_of, weight_vectors_lex)
 from .johnson import (JohnsonColouring, check_method, gs_fits_desk, johnson_bounds,
                       johnson_colouring)
 from .matq import _arithmetic, _complement_of_rref, gaussian_binomial
@@ -293,13 +293,6 @@ def bounds_report(params: GrassmannParams, johnson_method: str = "greedy",
             "trivial_upper": trivial_upper, "johnson_palette": johnson_palette}
 
 
-def check_vertex_cap(total: int, vertex_cap: int) -> int:
-    """The vertex count `total`, or ValueError when it exceeds the cap."""
-    if total > vertex_cap:
-        raise ValueError(f"vertex count {total} exceeds the cap {vertex_cap}")
-    return total
-
-
 class _CosetColourer:
     """`full_colouring`'s colours, and the coset families it reports.
 
@@ -469,7 +462,7 @@ def full_colouring(ctx: ColourContext, verify: bool | None = None,
     it in the certificate.
     """
     params = ctx.params
-    total = check_vertex_cap(params.vertex_count(), vertex_cap)
+    total = check_vertex_cap(params.q, params.n, params.m, vertex_cap)
     if verify is None:
         verify = total <= AUTO_VERIFY_LIMIT
 

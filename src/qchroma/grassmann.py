@@ -57,6 +57,29 @@ class GrassmannParams:
                                self.n - 2 * self.m + self.t)
 
 
+# Below this many bits in the bound q^(m(n-m)), a refusal names the exact
+# count: `gaussian_binomial`'s product then stays small.
+_EXACT_COUNT_BITS = 256
+
+
+def check_vertex_cap(q: int, n: int, m: int, cap: int) -> int:
+    """The number of m-subspaces of F_q^n, or ValueError when it exceeds `cap`.
+
+    The count is at least q^(m(n-m)) >= 2^bits, bits = (q.bit_length() - 1)
+    · m(n-m).  When that bound alone exceeds the cap and has at least
+    `_EXACT_COUNT_BITS` bits, the refusal comes from it, before
+    `gaussian_binomial` multiplies min(m, n-m) numbers of up to n·log2(q)
+    bits.
+    """
+    bits = (q.bit_length() - 1) * m * (n - m)
+    if bits >= max(cap.bit_length(), _EXACT_COUNT_BITS):
+        raise ValueError(f"vertex count, at least {q}^{m * (n - m)}, exceeds the cap {cap}")
+    total = gaussian_binomial(n, m, q)
+    if total > cap:
+        raise ValueError(f"vertex count {total} exceeds the cap {cap}")
+    return total
+
+
 DIRECT, DUAL, COMPLETE = "direct", "dual", "complete"
 
 

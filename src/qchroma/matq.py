@@ -334,6 +334,7 @@ def gaussian_binomial(n: int, m: int, q: int) -> int:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
+    m = min(m, n - m)  # [n, m]_q = [n, n-m]_q; the shorter product is cheaper
     num = 1
     den = 1
     for i in range(m):

@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
-from .grassmann import (GrassmannParams, Subspace, encode_subspace,
+from .grassmann import (GrassmannParams, Subspace, check_vertex_cap, encode_subspace,
                         enumerate_subspaces)
 from .matq import matmul, rref
 
@@ -112,9 +112,7 @@ def build_graph(params: GrassmannParams, cap: int = DEFAULT_VERTEX_CAP) -> Dense
     of C·B, for C the bases of the t-subspaces of F_q^m; each is taken to
     its RREF by `rref`, and vertices sharing one are joined.
     """
-    count = params.vertex_count()
-    if count > cap:
-        raise ValueError(f"vertex count {count} exceeds the cap {cap}")
+    check_vertex_cap(params.q, params.n, params.m, cap)
     verts: list[Subspace] = list(enumerate_subspaces(params.q, params.n, params.m))
     labels = [encode_subspace(S) for S in verts]
     combos = [C.basis for C in enumerate_subspaces(params.q, params.m, params.t)]

@@ -3,6 +3,11 @@
 Each suite either passes or returns a short failure note; `run_selftest`
 prints one line per suite and reports overall success.  Randomized trials
 draw from a caller-supplied seed so reruns are reproducible.
+
+This module is the one home of these property checks: `tests/test_selftest.py`
+runs each suite as its own test, and no test repeats a suite's body.  The
+suites live in the package so that `qchroma selftest` runs without pytest
+and without the test tree.
 """
 
 from __future__ import annotations
@@ -25,21 +30,28 @@ def _field_axioms(rng: random.Random) -> str:
     orders = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64]
     for q in orders:
         F = ff.field_for_order(q)
-        for a, b, c in itertools.product(range(q), repeat=3):
-            if F.mul(F.mul(a, b), c) != F.mul(a, F.mul(b, c)):
-                return f"associativity fails in GF({q})"
-            if F.mul(a, b) != F.mul(b, a):
+        for a, b in itertools.product(range(q), repeat=2):
+            ab, a_b = F.mul(a, b), F.add(a, b)
+            if ab != F.mul(b, a):
                 return f"commutativity fails in GF({q})"
-            if F.mul(a, F.add(b, c)) != F.add(F.mul(a, b), F.mul(a, c)):
-                return f"distributivity fails in GF({q})"
-        for a in range(1, q):
-            if F.mul(a, F.inv(a)) != 1:
+            for c in range(q):
+                b_c = F.add(b, c)
+                if F.mul(ab, c) != F.mul(a, F.mul(b, c)):
+                    return f"associativity fails in GF({q})"
+                if F.mul(a, b_c) != F.add(ab, F.mul(a, c)):
+                    return f"distributivity fails in GF({q})"
+                if F.add(a_b, c) != F.add(a, b_c):
+                    return f"additive associativity fails in GF({q})"
+        for a in range(q):
+            if F.sub(F.add(a, 1), 1) != a:
+                return f"subtraction fails in GF({q})"
+            if a and F.mul(a, F.inv(a)) != 1:
                 return f"inverse fails in GF({q})"
     return ""
 
 
 def _dlog_roundtrip(rng: random.Random) -> str:
-    for q in (16, 64, 243, 625, 4096):
+    for q in (7, 16, 64, 81, 125, 243, 512, 625, 4096):
         F = ff.field_for_order(q)
         g = ff.primitive_element(F)
         for e in range(q - 1):
@@ -50,17 +62,18 @@ def _dlog_roundtrip(rng: random.Random) -> str:
 
 
 def _field_determinism(rng: random.Random) -> str:
-    for p, k in ((2, 4), (3, 3), (5, 2), (2, 12)):
+    for p, k in ((2, 4), (3, 3), (3, 4), (5, 2), (2, 12)):
         a = ff.field_make(p, k)
         ff.field_make.cache_clear()
         b = ff.field_make(p, k)
-        if a.modulus != b.modulus:
+        if a.modulus != b.modulus or a != b:
             return f"modulus for GF({p}^{k}) not deterministic"
     return ""
 
 
 def _rref_properties(rng: random.Random) -> str:
-    for q in (2, 3, 4, 5):
+    # 256 and 257 lie either side of the elimination tables' size limit
+    for q in (2, 3, 4, 5, 8, 9, 256, 257):
         F = ff.field_for_order(q)
         for _ in range(60):
             r = rng.randint(1, 4)
@@ -104,20 +117,29 @@ def _enumeration_counts(rng: random.Random) -> str:
     for q in (2, 3):
         for n in range(2, 7):
             for m in range(1, n + 1):
-                got = sum(1 for _ in gr.enumerate_subspaces(q, n, m))
-                if got != gaussian_binomial(n, m, q):
+                subs = list(gr.enumerate_subspaces(q, n, m))
+                if len(subs) != gaussian_binomial(n, m, q):
                     return f"count mismatch at (q={q}, n={n}, m={m})"
+                if len(set(subs)) != len(subs):
+                    return f"repeated subspace at (q={q}, n={n}, m={m})"
     return ""
 
 
 def _degree_regularity(rng: random.Random) -> str:
-    params = gr.GrassmannParams(2, 4, 2, 1)
-    verts = list(gr.enumerate_subspaces(2, 4, 2))
-    want = gr.degree_formula(params)
-    for S in verts:
-        deg = sum(1 for T in verts if T != S and gr.adjacent(S, T, 1))
-        if deg != want:
-            return f"vertex degree {deg} != formula {want}"
+    # (2,5,4,1) is complete with t < 2m - n, so its degree is V - 1
+    for p, want in (((2, 4, 2, 1), 18), ((2, 5, 2, 1), 42), ((2, 5, 4, 1), 30),
+                    ((3, 4, 3, 1), 39)):
+        got = gr.degree_formula(gr.GrassmannParams(*p))
+        if got != want:
+            return f"degree formula gives {got}, wanted {want}, at {p}"
+        verts = list(gr.enumerate_subspaces(*p[:3]))
+        degrees = [0] * len(verts)
+        for (i, S), (j, T) in itertools.combinations(enumerate(verts), 2):
+            if gr.adjacent(S, T, p[3]):
+                degrees[i] += 1
+                degrees[j] += 1
+        if set(degrees) != {want}:
+            return f"vertex degrees {sorted(set(degrees))} != formula {want} at {p}"
     return ""
 
 
@@ -198,6 +220,8 @@ def _coset_families(rng: random.Random) -> str:
                     if intersection_dim(fam[a].basis, fam[b].basis) > 0:
                         return "family is not a coclique"
             seen.update(fam)
+        if not families:
+            return "no lift of an identifying vector is in RREF"
     return ""
 
 
@@ -211,11 +235,8 @@ def _code_properties(rng: random.Random) -> str:
         words = [rm._flatten(w) for w in code.codewords()]
         wset = set(words)
         F = code.field
-        for _ in range(50):
-            a = words[rng.randrange(len(words))]
-            b = words[rng.randrange(len(words))]
-            s = tuple(F.add(x, y) for x, y in zip(a, b))
-            if s not in wset:
+        for a, b in itertools.product(words, repeat=2):
+            if tuple(F.sub(x, y) for x, y in zip(a, b)) not in wset:
                 return f"code is not linear at {(q, m, h, d)}"
     return ""
 
@@ -333,6 +354,9 @@ def _oracle_sanity(rng: random.Random) -> str:
         return "chromatic below clique"
     if (mc.size, ch.value) != (7, 7):
         return f"expected (7, 7), got {(mc.size, ch.value)}"
+    for a, b in itertools.combinations(mc.witness, 2):
+        if not g.adj[a] >> b & 1:
+            return "oracle clique witness is not a clique"
     # the witness colouring must itself be proper
     for i in range(g.num_vertices):
         mask = g.adj[i]
@@ -341,8 +365,7 @@ def _oracle_sanity(rng: random.Random) -> str:
             mask &= mask - 1
             if ch.colouring[i] == ch.colouring[j]:
                 return "oracle colouring witness is improper"
-    again = oracle.exact_chromatic(g)
-    if again.colouring != ch.colouring:
+    if oracle.exact_chromatic(g) != ch:
         return "oracle is not deterministic"
     return ""
 

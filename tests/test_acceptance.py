@@ -9,16 +9,15 @@ reference value; nothing is tuned to the implementation under test.
 import itertools
 import json
 import os
+import random
 import time
 
 from qchroma import colouring as col
-from qchroma import johnson, oracle
+from qchroma import johnson, oracle, selftest
 from qchroma import grassmann as gr
 from qchroma import rankmetric as rm
 from qchroma.cli import main
-from qchroma.ff import field_for_order
-from qchroma.matq import (MatrixFq, all_matrices, gaussian_binomial,
-                          intersection_dim, is_rref, rank)
+from qchroma.matq import gaussian_binomial
 
 
 class _Timer:
@@ -67,21 +66,10 @@ def test_02_exact_value_cross_check():
 
 
 def test_03_lifting_lemma_exhaustive():
-    # all weight-2 u in F_2^4, all 256 matrix pairs: dim = 2 - rk(A-B)
+    # all weight-2 u in F_2^4, all 256 matrix pairs: dim = 2 - rk(A-B),
+    # then 1000 random triples at each of (q,m,h) = (2,2,3) and (3,2,2)
     with _Timer(5) as tm:
-        F2 = field_for_order(2)
-        mats = list(all_matrices(F2, 2, 2))
-        checked = 0
-        for u in gr.weight_vectors_lex(4, 2):
-            for A in mats:
-                for B in mats:
-                    diff = MatrixFq(F2, tuple(
-                        tuple(F2.sub(x, y) for x, y in zip(ra, rb))
-                        for ra, rb in zip(A.rows, B.rows)))
-                    got = intersection_dim(rm.lift(u, A), rm.lift(u, B))
-                    assert got == 2 - rank(diff)
-                    checked += 1
-        assert checked == 6 * 256
+        assert selftest._lifting_dimension(random.Random(8128)) == ""
     tm.check("criterion 3: lifting lemma, 1536 exhaustive triples, 0 failures")
 
 
@@ -102,23 +90,7 @@ def test_05_coset_coclique_property():
     # (2,4,2,1): inside one lifted coset family, intersections stay below t;
     # distinct coset indices give disjoint families
     with _Timer(5) as tm:
-        code = rm.gabidulin_build(2, 2, 2, 2)
-        F2 = field_for_order(2)
-        for u in gr.weight_vectors_lex(4, 2):
-            families = {}
-            for A in all_matrices(F2, 2, 2):
-                L = rm.lift(u, A)
-                if not is_rref(L):
-                    continue
-                families.setdefault(rm.coset_index(code, A), []).append(
-                    gr.Subspace(L))
-            seen = set()
-            for fam in families.values():
-                for a in range(len(fam)):
-                    assert fam[a] not in seen
-                    for b in range(a + 1, len(fam)):
-                        assert intersection_dim(fam[a].basis, fam[b].basis) <= 0
-                seen.update(fam)
+        assert selftest._coset_families(random.Random(8128)) == ""
     tm.check("criterion 5: coset families are disjoint cocliques at (2,4,2,1)")
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -285,10 +286,23 @@ def test_complete_regime_through_cli(tmp_path):
     assert main(["verify", "--cert", cert]) == 0
 
 
-def test_selftest_command(capsys):
+def test_selftest_command(monkeypatch, capsys):
+    # the wiring only, on stub suites: tests/test_selftest.py runs the real ones
+    from qchroma import selftest
+    draws = []
+
+    def passes(rng):
+        draws.append(rng.random())
+        return ""
+    monkeypatch.setattr(selftest, "SUITES", [("stub that passes", passes)])
     assert main(["selftest", "--seed", "7"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 20 and "FAIL" not in out
+    assert capsys.readouterr().out == "PASS stub that passes\n"
+    monkeypatch.setattr(selftest, "SUITES", [("stub that passes", passes),
+                                             ("stub that fails", lambda rng: "on purpose")])
+    assert main(["selftest"]) == 2
+    assert capsys.readouterr().out == \
+        "PASS stub that passes\nFAIL stub that fails: on purpose\n"
+    assert draws == [random.Random(7).random(), random.Random(8128).random()]
 
 
 def test_python_dash_m_runs_the_cli():
@@ -328,6 +342,16 @@ def test_enumerate_above_the_cap_exits_1_quickly():
     assert "exceeds the cap 100000" in done.stderr
     done, _ = _run_limited(["enumerate", "--q", "2", "--n", "4", "--m", "2", "--cap", "34"])
     assert done.returncode == 1 and "vertex count 35 exceeds the cap 34" in done.stderr
+
+
+@pytest.mark.parametrize("command", ["colour", "enumerate", "oracle"])
+def test_a_huge_vertex_count_is_refused_before_it_is_counted(command):
+    # about 2^(2.5e9) subspaces: q^(m(n-m)) alone exceeds the cap, and the
+    # exact count would multiply 50 000 numbers of up to 100 000 bits
+    args = [command, "--q", "2", "--n", "100000", "--m", "50000"]
+    done, cpu = _run_limited(args + ([] if command == "enumerate" else ["--t", "1"]))
+    assert done.returncode == 1 and done.stdout == "" and cpu < 1.0
+    assert "vertex count, at least 2^2500000000, exceeds the cap" in done.stderr
 
 
 def test_gs_above_the_subset_cap_reports_the_residue_ring_quickly():

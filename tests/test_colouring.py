@@ -124,15 +124,6 @@ def test_full_colouring_complete_regime():
     assert len({c for _, c in cert.colours}) == 155
 
 
-def test_dual_colouring_consistent_with_pullback():
-    params = GrassmannParams(2, 5, 3, 2)
-    ctx = col.make_context(params)
-    dual = col.make_context(GrassmannParams(2, 5, 2, 1))
-    for S in enumerate_subspaces(2, 5, 3):
-        assert col.colour_subspace(ctx, S) == \
-            col.colour_subspace(dual, dualize(S))
-
-
 def test_vertex_cap():
     with pytest.raises(ValueError):
         col.full_colouring(col.make_context(GrassmannParams(2, 6, 3, 1)),

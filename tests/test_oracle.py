@@ -149,19 +149,6 @@ def test_build_graph_cap():
         build_graph(GrassmannParams(2, 6, 3, 1), cap=100)
 
 
-def test_grassmann_oracle_values():
-    g = build_graph(GrassmannParams(2, 4, 2, 1))
-    mc = max_clique(g)
-    assert mc.size == 7 and mc.exact
-    # witness really is a clique
-    for a in range(len(mc.witness)):
-        for b in range(a + 1, len(mc.witness)):
-            assert g.adj[mc.witness[a]] & (1 << mc.witness[b])
-    ch = exact_chromatic(g)
-    assert ch.exact and ch.value == 7
-    assert ch.value >= mc.size
-
-
 def test_chromatic_budget_degrades_to_bracket():
     g = build_graph(GrassmannParams(2, 4, 2, 1))
     res = exact_chromatic(g, budget=3)
@@ -177,13 +164,6 @@ def test_chromatic_budget_degrades_to_bracket():
             max_clique(graph, budget=-1)
         with pytest.raises(ValueError, match="budget"):
             exact_chromatic(graph, budget=-5)
-
-
-def test_oracle_determinism():
-    g = build_graph(GrassmannParams(2, 4, 2, 1))
-    a = exact_chromatic(g)
-    b = exact_chromatic(g)
-    assert a == b
 
 
 def test_exact_witness_translates_to_proper_subspace_colouring():
