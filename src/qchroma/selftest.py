@@ -27,37 +27,49 @@ Suite = Callable[[random.Random], str]
 
 
 def _field_axioms(rng: random.Random) -> str:
-    orders = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64]
-    for q in orders:
-        F = ff.field_for_order(q)
-        for a, b in itertools.product(range(q), repeat=2):
-            ab, a_b = F.mul(a, b), F.add(a, b)
-            if ab != F.mul(b, a):
-                return f"commutativity fails in GF({q})"
-            for c in range(q):
-                b_c = F.add(b, c)
-                if F.mul(ab, c) != F.mul(a, F.mul(b, c)):
-                    return f"associativity fails in GF({q})"
-                if F.mul(a, b_c) != F.add(ab, F.mul(a, c)):
-                    return f"distributivity fails in GF({q})"
-                if F.add(a_b, c) != F.add(a, b_c):
-                    return f"additive associativity fails in GF({q})"
-        for a in range(q):
-            if F.sub(F.add(a, 1), 1) != a:
-                return f"subtraction fails in GF({q})"
-            if a and F.mul(a, F.inv(a)) != 1:
-                return f"inverse fails in GF({q})"
+    return _first_failure(_field_axioms_at(q) for q in
+                          (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64))
+
+
+def _field_axioms_at(q: int) -> str:
+    F = ff.field_for_order(q)
+    for a, b in itertools.product(range(q), repeat=2):
+        ab, a_b = F.mul(a, b), F.add(a, b)
+        if ab != F.mul(b, a):
+            return f"commutativity fails in GF({q})"
+        for c in range(q):
+            b_c = F.add(b, c)
+            if F.mul(ab, c) != F.mul(a, F.mul(b, c)):
+                return f"associativity fails in GF({q})"
+            if F.mul(a, b_c) != F.add(ab, F.mul(a, c)):
+                return f"distributivity fails in GF({q})"
+            if F.add(a_b, c) != F.add(a, b_c):
+                return f"additive associativity fails in GF({q})"
+    for a in range(q):
+        if F.sub(F.add(a, 1), 1) != a:
+            return f"subtraction fails in GF({q})"
+        if a and F.mul(a, F.inv(a)) != 1:
+            return f"inverse fails in GF({q})"
     return ""
 
 
+def _first_failure(notes) -> str:
+    """The first non-empty note of a lazy sequence of checks, or ""."""
+    return next((note for note in notes if note), "")
+
+
 def _dlog_roundtrip(rng: random.Random) -> str:
-    for q in (7, 16, 64, 81, 125, 243, 512, 625, 4096):
-        F = ff.field_for_order(q)
-        g = ff.primitive_element(F)
-        for e in range(q - 1):
-            x = F.power(g, e)
-            if ff.discrete_log(F, g, x) != e:
-                return f"dlog roundtrip fails in GF({q}) at e={e}"
+    return _first_failure(_dlog_roundtrip_at(q) for q in
+                          (7, 16, 64, 81, 125, 243, 512, 625, 4096))
+
+
+def _dlog_roundtrip_at(q: int) -> str:
+    F = ff.field_for_order(q)
+    g = ff.primitive_element(F)
+    for e in range(q - 1):
+        x = F.power(g, e)
+        if ff.discrete_log(F, g, x) != e:
+            return f"dlog roundtrip fails in GF({q}) at e={e}"
     return ""
 
 
@@ -114,32 +126,39 @@ def _gaussian_symmetry(rng: random.Random) -> str:
 
 
 def _enumeration_counts(rng: random.Random) -> str:
-    for q in (2, 3):
-        for n in range(2, 7):
-            for m in range(1, n + 1):
-                subs = list(gr.enumerate_subspaces(q, n, m))
-                if len(subs) != gaussian_binomial(n, m, q):
-                    return f"count mismatch at (q={q}, n={n}, m={m})"
-                if len(set(subs)) != len(subs):
-                    return f"repeated subspace at (q={q}, n={n}, m={m})"
+    return _first_failure(_enumeration_counts_at(q, n)
+                          for q in (2, 3) for n in range(2, 7))
+
+
+def _enumeration_counts_at(q: int, n: int) -> str:
+    for m in range(1, n + 1):
+        subs = list(gr.enumerate_subspaces(q, n, m))
+        if len(subs) != gaussian_binomial(n, m, q):
+            return f"count mismatch at (q={q}, n={n}, m={m})"
+        if len(set(subs)) != len(subs):
+            return f"repeated subspace at (q={q}, n={n}, m={m})"
     return ""
 
 
 def _degree_regularity(rng: random.Random) -> str:
     # (2,5,4,1) is complete with t < 2m - n, so its degree is V - 1
-    for p, want in (((2, 4, 2, 1), 18), ((2, 5, 2, 1), 42), ((2, 5, 4, 1), 30),
-                    ((3, 4, 3, 1), 39)):
-        got = gr.degree_formula(gr.GrassmannParams(*p))
-        if got != want:
-            return f"degree formula gives {got}, wanted {want}, at {p}"
-        verts = list(gr.enumerate_subspaces(*p[:3]))
-        degrees = [0] * len(verts)
-        for (i, S), (j, T) in itertools.combinations(enumerate(verts), 2):
-            if gr.adjacent(S, T, p[3]):
-                degrees[i] += 1
-                degrees[j] += 1
-        if set(degrees) != {want}:
-            return f"vertex degrees {sorted(set(degrees))} != formula {want} at {p}"
+    return _first_failure(_degree_regularity_at(p, want) for p, want in
+                          (((2, 4, 2, 1), 18), ((2, 5, 2, 1), 42),
+                           ((2, 5, 4, 1), 30), ((3, 4, 3, 1), 39)))
+
+
+def _degree_regularity_at(p: tuple[int, int, int, int], want: int) -> str:
+    got = gr.degree_formula(gr.GrassmannParams(*p))
+    if got != want:
+        return f"degree formula gives {got}, wanted {want}, at {p}"
+    verts = list(gr.enumerate_subspaces(*p[:3]))
+    degrees = [0] * len(verts)
+    for (i, S), (j, T) in itertools.combinations(enumerate(verts), 2):
+        if gr.adjacent(S, T, p[3]):
+            degrees[i] += 1
+            degrees[j] += 1
+    if set(degrees) != {want}:
+        return f"vertex degrees {sorted(set(degrees))} != formula {want} at {p}"
     return ""
 
 
@@ -167,6 +186,12 @@ def _idvec_bound(rng: random.Random) -> str:
 
 
 def _lifting_dimension(rng: random.Random) -> str:
+    return (_lifting_exhaustive_2_2_2()
+            or _first_failure(_lifting_randomized(q, m, h, rng)
+                              for q, m, h in ((2, 2, 3), (3, 2, 2))))
+
+
+def _lifting_exhaustive_2_2_2() -> str:
     F2 = ff.field_for_order(2)
     mats = list(all_matrices(F2, 2, 2))
     for u in gr.weight_vectors_lex(4, 2):
@@ -175,19 +200,21 @@ def _lifting_dimension(rng: random.Random) -> str:
                 diff = _mat_sub(A, B)
                 if intersection_dim(rm.lift(u, A), rm.lift(u, B)) != 2 - rank(diff):
                     return "lifting dimension law fails exhaustively"
-    for q, m, h in ((2, 2, 3), (3, 2, 2)):
-        F = ff.field_for_order(q)
-        n = m + h
-        idvecs = gr.weight_vectors_lex(n, m)
-        for _ in range(1000):
-            u = idvecs[rng.randrange(len(idvecs))]
-            A = MatrixFq(F, tuple(tuple(rng.randrange(q) for _ in range(h))
-                                  for _ in range(m)))
-            B = MatrixFq(F, tuple(tuple(rng.randrange(q) for _ in range(h))
-                                  for _ in range(m)))
-            got = intersection_dim(rm.lift(u, A), rm.lift(u, B))
-            if got != m - rank(_mat_sub(A, B)):
-                return f"lifting dimension law fails at (q={q}, m={m}, h={h})"
+    return ""
+
+
+def _lifting_randomized(q: int, m: int, h: int, rng: random.Random) -> str:
+    F = ff.field_for_order(q)
+    idvecs = gr.weight_vectors_lex(m + h, m)
+    for _ in range(1000):
+        u = idvecs[rng.randrange(len(idvecs))]
+        A = MatrixFq(F, tuple(tuple(rng.randrange(q) for _ in range(h))
+                              for _ in range(m)))
+        B = MatrixFq(F, tuple(tuple(rng.randrange(q) for _ in range(h))
+                              for _ in range(m)))
+        got = intersection_dim(rm.lift(u, A), rm.lift(u, B))
+        if got != m - rank(_mat_sub(A, B)):
+            return f"lifting dimension law fails at (q={q}, m={m}, h={h})"
     return ""
 
 
@@ -242,26 +269,35 @@ def _code_properties(rng: random.Random) -> str:
 
 
 def _johnson_properness(rng: random.Random) -> str:
-    cases = [(4, 2, 1), (5, 2, 1), (6, 3, 1), (6, 3, 2), (7, 3, 1), (8, 4, 1)]
-    for n, m, t in cases:
-        gc = johnson.greedy_colouring(n, m, t)
-        sc = johnson.gs_colouring(n, m, t)
-        if not johnson.is_proper(gc):
-            return f"greedy colouring improper at {(n, m, t)}"
-        if not johnson.is_proper(sc):
-            return f"sum colouring improper at {(n, m, t)}"
-        if sc.palette > sc.modulus:
-            return f"sum palette exceeds its residue ring at {(n, m, t)}"
-        # each colour class is a constant-weight code of distance 2(m-t+1)
-        classes: dict[int, list] = {}
-        for S, c in sc.colours.items():
-            classes.setdefault(c, []).append(set(S))
-        for cls in classes.values():
-            for i in range(len(cls)):
-                for j in range(i + 1, len(cls)):
-                    dist = 2 * m - 2 * len(cls[i] & cls[j])
-                    if dist < 2 * (m - t + 1):
-                        return f"colour class distance too small at {(n, m, t)}"
+    return _first_failure(
+        _johnson_proper_at(n, m, t) or _gs_class_distance_at(n, m, t)
+        for n, m, t in ((4, 2, 1), (5, 2, 1), (6, 3, 1), (6, 3, 2), (7, 3, 1),
+                        (8, 4, 1)))
+
+
+def _johnson_proper_at(n: int, m: int, t: int) -> str:
+    gc = johnson.greedy_colouring(n, m, t)
+    sc = johnson.gs_colouring(n, m, t)
+    if not johnson.is_proper(gc):
+        return f"greedy colouring improper at {(n, m, t)}"
+    if not johnson.is_proper(sc):
+        return f"sum colouring improper at {(n, m, t)}"
+    if sc.palette > sc.modulus:
+        return f"sum palette exceeds its residue ring at {(n, m, t)}"
+    return ""
+
+
+def _gs_class_distance_at(n: int, m: int, t: int) -> str:
+    # each colour class is a constant-weight code of distance 2(m-t+1)
+    classes: dict[int, list] = {}
+    for S, c in johnson.gs_colouring(n, m, t).colours.items():
+        classes.setdefault(c, []).append(set(S))
+    for cls in classes.values():
+        for i in range(len(cls)):
+            for j in range(i + 1, len(cls)):
+                dist = 2 * m - 2 * len(cls[i] & cls[j])
+                if dist < 2 * (m - t + 1):
+                    return f"colour class distance too small at {(n, m, t)}"
     return ""
 
 
@@ -347,6 +383,10 @@ def _clique_witness(rng: random.Random) -> str:
 def _oracle_sanity(rng: random.Random) -> str:
     g = oracle.build_graph(gr.GrassmannParams(2, 4, 2, 1))
     ch = oracle.exact_chromatic(g)
+    return _oracle_values(g, ch) or _oracle_determinism(g, ch)
+
+
+def _oracle_values(g: oracle.DenseGraph, ch: oracle.ChromaticResult) -> str:
     mc = ch.clique
     if not (mc.exact and ch.exact):
         return "oracle failed to finish on 35 vertices"
@@ -365,6 +405,10 @@ def _oracle_sanity(rng: random.Random) -> str:
             mask &= mask - 1
             if ch.colouring[i] == ch.colouring[j]:
                 return "oracle colouring witness is improper"
+    return ""
+
+
+def _oracle_determinism(g: oracle.DenseGraph, ch: oracle.ChromaticResult) -> str:
     if oracle.exact_chromatic(g) != ch:
         return "oracle is not deterministic"
     return ""

@@ -5,7 +5,7 @@ import pytest
 
 import naive
 
-from qchroma import ff
+from qchroma import ff, selftest
 from qchroma.ff import (discrete_log, field_make, primitive_element,
                         relative_extension)
 
@@ -82,6 +82,11 @@ def test_power_and_inverse_errors():
         F4.power(0, -1)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
+def test_axioms_exhaustively(q):
+    assert selftest._field_axioms_at(q) == ""
+
+
 def test_primitive_elements():
     assert primitive_element(field_make(2, 1)) == 1
     F4 = field_make(2, 2)
@@ -107,6 +112,11 @@ def test_discrete_log_small_cases():
         discrete_log(F5, 4, 2)  # 4 has order 2, not primitive
     with pytest.raises(ValueError):
         discrete_log(F5, 2, 5)  # not an index of F_5
+
+
+@pytest.mark.parametrize("q", [7, 16, 81, 125, 512])
+def test_discrete_log_pow_roundtrip(q):
+    assert selftest._dlog_roundtrip_at(q) == ""
 
 
 def test_relative_extension_matches_absolute_for_prime_base():

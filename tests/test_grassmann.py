@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qchroma import selftest
 from qchroma.ff import field_for_order, field_make
 from qchroma.grassmann import (GrassmannParams, Subspace, _entry_from_text,
                                _entry_to_text, adjacent, block_keys, decode_subspace,
@@ -34,6 +35,11 @@ def test_enumerate_tiny_cases():
     assert [S.basis.rows for S in enumerate_subspaces(2, 2, 2)] == [((1, 0), (0, 1))]
     got = {S.basis.rows for S in enumerate_subspaces(2, 2, 1)}
     assert got == {((1, 0),), ((0, 1),), ((1, 1),)}
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (2, 5), (3, 4)])
+def test_enumerate_counts(q, n):
+    assert selftest._enumeration_counts_at(q, n) == ""
 
 
 def test_enumerate_matches_vector_set_oracle():
@@ -125,6 +131,16 @@ def test_adjacency_agrees_with_stacked_rank_route():
         for T in verts[i + 1:]:
             direct = 2 * 2 - rank(S.basis.stack(T.basis))
             assert adjacent(S, T, 1) == (direct >= 1)
+
+
+@pytest.mark.parametrize("params,want", [
+    ((2, 4, 2, 1), 18),
+    ((2, 5, 2, 1), 42),
+    ((2, 5, 4, 1), 30),  # complete with t < 2m - n: degree V - 1
+    ((3, 4, 3, 1), 39),
+])
+def test_degree_formula_against_neighbour_counts(params, want):
+    assert selftest._degree_regularity_at(params, want) == ""
 
 
 def test_degree_formula_single_term_when_t_is_m_minus_1():

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 import naive
-from qchroma import oracle
+from qchroma import oracle, selftest
 from qchroma.johnson import (_adjacency_masks, bose_chowla, greedy_colouring,
                              gs_colouring, is_proper, johnson_bounds,
                              smallest_prime_geq, subsets_lex)
@@ -69,6 +69,12 @@ def test_gs_colouring_6_3_1():
     assert is_proper(col)
 
 
+def test_gs_classes_are_constant_weight_codes():
+    # same colour => characteristic vectors at Hamming distance >= 2(m-t+1)
+    for n, m, t in ((4, 2, 1), (6, 3, 1), (6, 3, 2)):
+        assert selftest._gs_class_distance_at(n, m, t) == ""
+
+
 def test_greedy_small_values():
     assert greedy_colouring(3, 2, 1).palette == 3   # complete graph on 3 subsets
     assert greedy_colouring(4, 2, 1).palette == 3
@@ -88,6 +94,12 @@ def test_greedy_at_the_subset_cap_is_fast():
     col = greedy_colouring(12, 6, 1)
     assert time.perf_counter() - start < 0.2
     assert col.palette == 462
+
+
+@pytest.mark.parametrize("n,m,t", [(4, 2, 1), (5, 2, 1), (6, 3, 1), (6, 3, 2),
+                                   (7, 3, 1), (8, 4, 1)])
+def test_both_methods_proper(n, m, t):
+    assert selftest._johnson_proper_at(n, m, t) == ""
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (5, 3), (6, 3), (7, 4), (8, 4)])

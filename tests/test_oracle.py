@@ -5,7 +5,7 @@ import time
 import pytest
 
 import naive
-from qchroma import oracle
+from qchroma import oracle, selftest
 from qchroma.grassmann import (GrassmannParams, adjacent, encode_subspace,
                                enumerate_subspaces)
 from qchroma.oracle import (DenseGraph, build_graph, dense_graph, dsatur,
@@ -149,6 +149,11 @@ def test_build_graph_cap():
         build_graph(GrassmannParams(2, 6, 3, 1), cap=100)
 
 
+def test_grassmann_oracle_values():
+    g = build_graph(GrassmannParams(2, 4, 2, 1))
+    assert selftest._oracle_values(g, exact_chromatic(g)) == ""
+
+
 def test_chromatic_budget_degrades_to_bracket():
     g = build_graph(GrassmannParams(2, 4, 2, 1))
     res = exact_chromatic(g, budget=3)
@@ -164,6 +169,11 @@ def test_chromatic_budget_degrades_to_bracket():
             max_clique(graph, budget=-1)
         with pytest.raises(ValueError, match="budget"):
             exact_chromatic(graph, budget=-5)
+
+
+def test_oracle_determinism():
+    g = build_graph(GrassmannParams(2, 4, 2, 1))
+    assert selftest._oracle_determinism(g, exact_chromatic(g)) == ""
 
 
 def test_exact_witness_translates_to_proper_subspace_colouring():

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from naive import naive_min_rank
-from qchroma import colouring, rankmetric
+from qchroma import colouring, rankmetric, selftest
 from qchroma.ff import field_make
 from qchroma.grassmann import GrassmannParams, Subspace, enumerate_subspaces
 from qchroma.matq import MatrixFq, all_matrices, rank
@@ -216,3 +218,11 @@ def test_unlift_full_space_gives_empty_block():
     u, A = unlift(Subspace(MatrixFq.identity(F2, 3)))
     assert u == (1, 1, 1) and A.nrows == 3 and A.ncols == 0
 
+
+def test_lifting_intersection_law_exhaustive_2_2_2():
+    assert selftest._lifting_exhaustive_2_2_2() == ""
+
+
+@pytest.mark.parametrize("q,m,h", [(2, 2, 3), (3, 2, 2)])
+def test_lifting_intersection_law_randomized(q, m, h):
+    assert selftest._lifting_randomized(q, m, h, random.Random(4242)) == ""
