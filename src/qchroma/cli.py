@@ -137,8 +137,21 @@ def _cmd_verify(args) -> int:
     return 2
 
 
+def _check_printable(params: gr.GrassmannParams) -> None:
+    """ValueError when the vertex count, which every `bounds` format prints,
+    has more decimal digits than Python converts (`sys.get_int_max_str_digits`,
+    no limit when 0).  The count is at least q^(m(n-m)) >= 2^bits, which has
+    more than bits·0.30102 digits, so a refusal comes before any exact count."""
+    limit = sys.get_int_max_str_digits()
+    bits = (params.q.bit_length() - 1) * params.m * (params.n - params.m)
+    if limit and bits * 30102 // 100000 >= limit:
+        raise ValueError(f"vertex count, at least {params.q}^{params.m * (params.n - params.m)}, "
+                         f"has more than the {limit} digits that can be printed")
+
+
 def _cmd_bounds(args) -> int:
     params = _params(args)
+    _check_printable(params)
     rep = col.bounds_report(params, args.johnson)
     if args.format == "json":
         doc = {k: (v if isinstance(v, str) or v is None else str(v))

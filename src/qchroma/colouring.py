@@ -593,7 +593,8 @@ def certificate_from_json(text: str) -> ColourCertificate:
                 "d": int(code["d"]),
                 "distance_verified": bool(code["distance_verified"])}),
             colours=colours,
-            palette_used=int(prov.get("palette_used", len({c for _, c in colours}))),
+            palette_used=(int(prov["palette_used"]) if "palette_used" in prov
+                          else len({c for _, c in colours})),
             bounds={k: int(v) for k, v in doc["bounds"].items()},
             proper=verified.get("proper"),
             pairs_checked=int(verified.get("pairs_checked", "0")),

@@ -512,6 +512,8 @@ def discrete_log(spec: FieldSpec, base: int, x: int) -> int:
 
     Both arguments are element indices.  Raises ValueError for x = 0, for
     an index outside the field and for a base that is zero or not primitive.
+    Without log tables it takes baby-step giant-step, about 2·sqrt(order)
+    multiplications, or sqrt(order) for a further log to the same base.
     """
     if not (0 <= base < spec.order and 0 <= x < spec.order):
         raise ValueError(f"element index out of range [0, {spec.order})")
@@ -524,9 +526,24 @@ def discrete_log(spec: FieldSpec, base: int, x: int) -> int:
         lb = spec._log[base]
         lx = spec._log[x]
         return (lx * pow(lb, -1, n)) % n if n > 1 else 0
-    acc = 1
-    for e in range(max(n, 1)):
-        if acc == x:
-            return e
-        acc = spec.mul(acc, base)
+    # baby-step giant-step: e = i·s + j with j < s, and i < s as e < n <= s^2
+    s, baby, giant = _baby_steps(spec, base)
+    for i in range(s):
+        j = baby.get(x)
+        if j is not None:
+            return i * s + j
+        x = spec.mul(x, giant)
     raise AssertionError("exhausted group without finding x")
+
+
+@functools.lru_cache(maxsize=4)
+def _baby_steps(spec: FieldSpec, base: int) -> tuple[int, dict[int, int], int]:
+    """(s, {base^j: j for j < s}, base^-s), s the least with s^2 >= order - 1:
+    the part of `discrete_log` that does not depend on x."""
+    n = spec.order - 1
+    s = math.isqrt(n - 1) + 1
+    baby, acc = {}, 1
+    for j in range(s):
+        baby[acc] = j  # distinct, as base is primitive and s <= n
+        acc = spec.mul(acc, base)
+    return s, baby, spec.inv(acc)

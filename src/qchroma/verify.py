@@ -22,9 +22,10 @@ t-subsets as fingerprints.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from operator import add, eq, getitem, mul
+from operator import add, eq, getitem, mul, xor
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .grassmann import (DUAL, GrassmannParams, Subspace, block_keys, decode_subspace,
@@ -97,9 +98,12 @@ class _Fingerprints:
     B's pivot columns picked by C's pivots, where C·B repeats the columns
     of C), so C·B is the canonical fingerprint as computed.
 
-    A row r·B of C·B is a sum of per-entry terms c·v, with F_p coordinate l
-    of entry j in slot j·k + l of a `matq.PackedFp` wide enough for m terms;
-    one fold of the sum gives the base-q integer whose digit j is entry j.
+    A row r·B of C·B is a sum of per-entry terms c·v, kept as the base-q
+    integer whose digit j is entry j.  Over F_{2^k} (`xor`) an index is its
+    coordinates over F_2, so the term as entry j is the index of c·v times
+    q^j, and the terms sum by XOR.  For odd p the term holds F_p coordinate
+    l of entry j in slot j·k + l of a `matq.PackedFp` wide enough for m
+    terms, and one fold of the sum gives the integer.
     A fingerprint is the tuple of those integers for the rows of one C,
     the C taken in `rref_bases` order over `weight_vectors_lex(m, t)`.
     `block` is the one routine that builds them: the rows of a whole
@@ -117,10 +121,15 @@ class _Fingerprints:
         self.coeff_rows = coeff_rows = sorted({r for C in combos for r in C})
         row_at = {r: x for x, r in enumerate(coeff_rows)}
         self.columns = [[row_at[C[k]] for C in combos] for k in range(params.t)]
-        self.packed = packed = PackedFp(field.p, m, n * field.k)
-        stride = field.k * packed.width
-        cv = [[packed.pack(field.coeffs_of(field.mul(c, v))) for v in range(q)]
-              for c in range(q)]
+        self.xor = field.p == 2
+        if self.xor:
+            self.packed, stride = None, field.k  # x << (j·k) is x·q^j
+            cv = [[field.mul(c, v) for v in range(q)] for c in range(q)]
+        else:
+            self.packed = packed = PackedFp(field.p, m, n * field.k)
+            stride = field.k * packed.width
+            cv = [[packed.pack(field.coeffs_of(field.mul(c, v))) for v in range(q)]
+                  for c in range(q)]
         self.term = [[[x << (j * stride) for x in cv[c]] for c in range(q)]
                      for j in range(n)]  # term[j][c][v]: c·v as entry j
         self._negated: list | None = None  # the same with v negated, for `block`
@@ -128,18 +137,18 @@ class _Fingerprints:
 
     def block(self, idvec: tuple[int, ...], complement: bool = False,
               values: Sequence[int] | None = None) -> list[list[int]]:
-        """Per row r of `coeff_rows`, the folded r·B of every vertex with
-        this identifying vector, in `rref_bases` order; with `values`, the
-        free-cell values of one vertex in `free_cells` order, of that vertex
-        alone, so each list holds one integer.
+        """Per row r of `coeff_rows`, r·B as a base-q integer for every
+        vertex with this identifying vector, in `rref_bases` order; with
+        `values`, the free-cell values of one vertex in `free_cells` order,
+        of that vertex alone, so each list holds one integer.
 
         r·B is the sum of r_k times the pivot 1 of row k of B plus, per free
-        cell (k, j), the term of r_k times the cell's value as entry j, so
-        the sums of a whole identifying vector come at once, as
-        `colouring._CosetColourer.block` sums syndromes: a cell with a
-        nonzero coefficient adds its terms to every sum so far, a cell with
-        coefficient 0 repeats the sums q times.  One vertex takes one term
-        per cell, the term for its value.
+        cell (k, j), the term of r_k times the cell's value as entry j (sums
+        are XORs over F_{2^k}), so the sums of a whole identifying vector
+        come at once, as `colouring._CosetColourer.block` sums syndromes: a
+        cell with a nonzero coefficient adds its terms to every sum so far,
+        a cell with coefficient 0 repeats the sums q times.  One vertex
+        takes one term per cell, the term for its value.
 
         With `complement`, the fingerprints are of the vertices' orthogonal
         complements and this object is built for `params.dual()`.  For a
@@ -153,16 +162,25 @@ class _Fingerprints:
         if layout is None:
             layout = self._layouts[idvec, complement] = self._layout(idvec, complement)
         if values is not None:
-            return [[x] for x in self.packed.fold_all([
-                head + sum(map(getitem, tables, values)) for head, tables in layout])]
-        q, out = self.field.order, []
+            sums = [self._sum(map(getitem, tables, values), head) for head, tables in layout]
+            return [[x] for x in (sums if self.xor else self.packed.fold_all(sums))]
+        q, use_xor, out = self.field.order, self.xor, []
         for head, tables in layout:
             totals = [head]
             for table in reversed(tables):  # the first cell varies slowest
                 # table[1] is the term of c·1, which is 0 only for c = 0
-                totals = [a + b for a in table for b in totals] if table[1] else totals * q
-            out.append(self.packed.fold_all(totals))
+                if not table[1]:
+                    totals = totals * q
+                elif use_xor:
+                    totals = [a ^ b for a in table for b in totals]
+                else:
+                    totals = [a + b for a in table for b in totals]
+            out.append(totals if use_xor else self.packed.fold_all(totals))
         return out
+
+    def _sum(self, terms: Iterable[int], start: int = 0) -> int:
+        """The sum of these terms and `start`: their XOR over F_{2^k}."""
+        return functools.reduce(xor, terms, start) if self.xor else sum(terms, start)
 
     def _layout(self, idvec: tuple[int, ...], complement: bool) -> list[tuple[int, list]]:
         """Per row r of `coeff_rows`: r times B's pivot 1s, and per free
@@ -181,7 +199,7 @@ class _Fingerprints:
         else:
             leads, tables = pivots, term  # leads: the column of each row's pivot 1
         ones = [[tc[1] for tc in term[j]] for j in leads]  # ones[k][c]: c·(row k's pivot 1)
-        return [(sum(map(getitem, ones, r)), [tables[j][r[k]] for k, j in cells])
+        return [(self._sum(map(getitem, ones, r)), [tables[j][r[k]] for k, j in cells])
                 for r in self.coeff_rows]
 
     def subspace(self, fingerprint: tuple[int, ...]) -> Subspace:

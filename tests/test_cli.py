@@ -7,9 +7,9 @@ import time
 
 import pytest
 
-from qchroma import johnson
+from qchroma import cli, johnson
 from qchroma.cli import main
-from qchroma.grassmann import encode_subspace, enumerate_subspaces
+from qchroma.grassmann import GrassmannParams, encode_subspace, enumerate_subspaces
 from qchroma.matq import gaussian_binomial
 
 
@@ -377,3 +377,45 @@ def test_a_huge_field_order_is_decided_or_refused_quickly():
     done, cpu = _run_limited(["bounds", "--q", str(2 ** 89 - 1), "--n", "4",
                               "--m", "2", "--t", "1"])
     assert done.returncode == 1 and cpu < 1.0 and "too large to decide" in done.stderr
+
+
+@pytest.mark.parametrize("n, m, extra", [(400, 200, ["--johnson", "gs"]), (2000, 1000, []),
+                                         (100000, 50000, [])])
+def test_bounds_refuses_a_vertex_count_it_cannot_print_before_counting(n, m, extra):
+    # V >= 2^(m(n-m)) has more digits than Python converts to a string, so
+    # no format could print it; the refusal comes before any exact count
+    done, cpu = _run_limited(["bounds", "--q", "2", "--n", str(n), "--m", str(m), "--t", "1",
+                              *extra])
+    assert done.returncode == 1 and done.stdout == "" and cpu < 1.0
+    assert (f"vertex count, at least 2^{m * (n - m)}, has more than the "
+            f"{sys.get_int_max_str_digits()} digits that can be printed") in done.stderr
+
+
+def test_bounds_refuses_only_vertex_counts_with_too_many_digits():
+    # around the refusal's threshold, every refused count has more digits
+    # than the limit, so no input that could be printed is refused
+    limit, refused = sys.get_int_max_str_digits(), set()
+    for q in (2, 3, 4, 8):
+        for n in range(180, 260, 3):
+            params = GrassmannParams(q, n, n // 2, 1)
+            try:
+                cli._check_printable(params)
+            except ValueError:
+                assert params.vertex_count() >= 10 ** limit
+                refused.add(q)
+            else:
+                refused.add(-q)
+    assert refused >= {2, -2}
+
+
+def test_bounds_gs_above_the_log_table_limit_answers_quickly():
+    # gs builds F_{23^4}, above the field's log-table limit, and takes 24
+    # discrete logarithms in it
+    done, cpu = _run_limited(["bounds", "--q", "2", "--n", "22", "--m", "4", "--t", "1",
+                              "--johnson", "gs"])
+    assert done.returncode == 0 and cpu < 1.0
+    assert done.stdout == ("J_2(22,4,1): 15351384078270441402355 vertices, regime direct\n"
+                           "  lower bound (clique):   54900840777134275\n"
+                           "  theorem upper bound:    111923457939411566592\n"
+                           "  trivial upper (deg+1):  823499784120971251\n"
+                           "  johnson palette used:   6213\n")

@@ -188,6 +188,11 @@ def test_certificate_json_roundtrip_and_determinism():
     assert doc["bounds"]["lower"] == "7"
     assert doc["colours"][0]["colour"].isdigit()
     assert doc["verified"]["proper"] is True
+    # palette_used is read as written, and counted only when it is absent
+    doc["provenance"]["palette_used"] = "1"
+    assert col.certificate_from_json(json.dumps(doc)).palette_used == 1
+    del doc["provenance"]["palette_used"]
+    assert col.certificate_from_json(json.dumps(doc)).palette_used == cert.palette_used > 1
 
 
 WRITER_GRAPHS = {

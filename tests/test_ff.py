@@ -114,6 +114,20 @@ def test_discrete_log_small_cases():
         discrete_log(F5, 2, 5)  # not an index of F_5
 
 
+@pytest.mark.parametrize("p, k", [(257, 2), (65537, 1)])
+def test_discrete_log_above_the_table_limit_matches_the_linear_walk(p, k):
+    # no log tables here: baby-step giant-step against one walk of the group
+    F = field_make(p, k)
+    assert F.order > ff._TABLE_LIMIT
+    g = primitive_element(F)
+    walk, acc = {}, 1
+    for e in range(F.order - 1):
+        walk[acc] = e
+        acc = F.mul(acc, g)
+    for x in [1, g, F.inv(g), F.order - 1, *list(walk)[::331]]:  # F.inv(g): e = order - 2
+        assert discrete_log(F, g, x) == walk[x]
+
+
 @pytest.mark.parametrize("q", [7, 16, 81, 125, 512])
 def test_discrete_log_pow_roundtrip(q):
     assert selftest._dlog_roundtrip_at(q) == ""
