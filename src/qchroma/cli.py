@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Iterable
 
@@ -114,7 +115,7 @@ def _cmd_colour(args) -> int:
     ctx = col.make_context(params, args.johnson)
     verify = True if args.verify else None
     cert = col.full_colouring(ctx, verify=verify, vertex_cap=args.cap)
-    _emit([col.certificate_to_json(cert)], args.out)
+    _emit(col.certificate_chunks(cert), args.out)
     return 0
 
 
@@ -140,12 +141,15 @@ def _cmd_verify(args) -> int:
 def _check_printable(params: gr.GrassmannParams) -> None:
     """ValueError when the vertex count, which every `bounds` format prints,
     has more decimal digits than Python converts (`sys.get_int_max_str_digits`,
-    no limit when 0).  The count is at least q^(m(n-m)) >= 2^bits, which has
-    more than bits·0.30102 digits, so a refusal comes before any exact count."""
+    no limit when 0).  The count is at least q^e, e = m(n-m), which has more
+    than `limit` digits exactly when q^e >= 10^limit.  Far from that, the
+    float e·log10(q) decides; within one digit of it, the exact powers do.
+    So a refusal comes before any exact count."""
     limit = sys.get_int_max_str_digits()
-    bits = (params.q.bit_length() - 1) * params.m * (params.n - params.m)
-    if limit and bits * 30102 // 100000 >= limit:
-        raise ValueError(f"vertex count, at least {params.q}^{params.m * (params.n - params.m)}, "
+    q, e = params.q, params.m * (params.n - params.m)
+    digits = e * math.log10(q)
+    if limit and (digits >= limit + 1 or digits > limit - 1 and q ** e >= 10 ** limit):
+        raise ValueError(f"vertex count, at least {q}^{e}, "
                          f"has more than the {limit} digits that can be printed")
 
 

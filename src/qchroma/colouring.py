@@ -51,9 +51,11 @@ colours before sealing the certificate (`verify._clash_of_blocks`).
 Certificates serialize to a single JSON document with all integers as
 decimal strings; byte-identical across runs for equal inputs.  The bytes
 are those of `json.dumps(doc, indent=1, sort_keys=True)`, but
-`certificate_to_json` writes the `colours` array (one f-string per entry,
-the key escaped as `json.dumps` escapes it) and `family_sizes` itself and
-splices them into a dump of the rest of the document.  Checking a
+`certificate_chunks` writes the `colours` array (one f-string per entry,
+the key escaped as `json.dumps` escapes it) and `family_sizes` itself into
+a dump of the rest of the document, and hands the text over in pieces of
+`CHUNK` entries: `qchroma colour` writes each piece as it is rendered, and
+`certificate_to_json` joins them once.  Checking a
 certificate is the job of `qchroma.verify`, which imports nothing from
 this module.
 """
@@ -64,6 +66,7 @@ import json
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import add, getitem
+from typing import Iterator
 
 from .grassmann import (COMPLETE, DIRECT, DUAL, GrassmannParams, Subspace, block_keys,
                         check_vertex_cap, degree_formula, enumeration_index, free_cells,
@@ -79,6 +82,7 @@ from .verify import _clash_of_blocks, verify_properness
 DEFAULT_VERTEX_CAP = 100_000
 AUTO_VERIFY_LIMIT = 20_000
 _BITS = bytes.maketrans(b"\0\1", b"01")  # F_2 entries, as bytes, to binary digits
+CHUNK = 4096  # `colours` entries per piece of `certificate_chunks`
 
 @dataclass
 class ColourContext:
@@ -523,15 +527,18 @@ def _stringify(value):
     raise TypeError(f"unexpected certificate value {value!r}")
 
 
-def certificate_to_json(cert: ColourCertificate) -> str:
-    """The certificate as `json.dumps(doc, indent=1, sort_keys=True)` + newline.
+def certificate_chunks(cert: ColourCertificate) -> Iterator[str]:
+    """The text of `certificate_to_json`, in order, as an iterator of pieces:
+    the document up to the `colours` array's first entry, one piece per
+    `CHUNK` entries, then the rest.
 
-    The `colours` array is rendered one f-string per entry, with each key
-    escaped by `encode_basestring_ascii`, as `json.dumps` escapes every
-    string, and so is `provenance.family_sizes`; the rest of the document
-    is dumped with both empty, and the rendered ones replace them.  With
-    `indent` set, `json.dumps` cannot use its C encoder, so dumping V entry
-    dicts would walk them in Python.
+    Each entry is rendered by one f-string, with its key escaped by
+    `encode_basestring_ascii`, as `json.dumps` escapes every string, and so
+    is `provenance.family_sizes`; the rest of the document is dumped with
+    both empty, and the rendered ones replace them.  With `indent` set,
+    `json.dumps` cannot use its C encoder, so dumping V entry dicts would
+    walk them in Python.  Everything but the entries is built before this
+    returns, so a value that cannot be written raises here, before any piece.
     """
     doc = {
         "params": {"q": str(cert.params.q), "n": str(cert.params.n),
@@ -561,11 +568,26 @@ def certificate_to_json(cert: ColourCertificate) -> str:
         text = text.replace('\n  "family_sizes": {},\n',
                             '\n  "family_sizes": {\n' + ",\n".join(families) + "\n  },\n", 1)
     if not cert.colours:
-        return text
+        return iter((text,))
     # a string value holds no raw newline, so this is the top-level key
-    entries = ",\n".join([f'  {{\n   "colour": "{c}",\n   "vertex": {_json_string(k)}\n  }}'
-                          for k, c in cert.colours])
-    return text.replace('\n "colours": [],\n', f'\n "colours": [\n{entries}\n ],\n', 1)
+    head, _, tail = text.partition('\n "colours": [],\n')
+    return _entry_chunks(head + '\n "colours": [\n', cert.colours, '\n ],\n' + tail)
+
+
+def _entry_chunks(head: str, colours: tuple[tuple[str, int], ...], tail: str
+                  ) -> Iterator[str]:
+    yield head
+    for lo in range(0, len(colours), CHUNK):
+        entries = ",\n".join([f'  {{\n   "colour": "{c}",\n   "vertex": {_json_string(k)}\n  }}'
+                              for k, c in colours[lo:lo + CHUNK]])
+        yield entries if lo == 0 else ",\n" + entries
+    yield tail
+
+
+def certificate_to_json(cert: ColourCertificate) -> str:
+    """The certificate as `json.dumps(doc, indent=1, sort_keys=True)` + newline,
+    joined once from `certificate_chunks`."""
+    return "".join(certificate_chunks(cert))
 
 
 def certificate_from_json(text: str) -> ColourCertificate:
@@ -575,8 +597,10 @@ def certificate_from_json(text: str) -> ColourCertificate:
         params = GrassmannParams(int(p["q"]), int(p["n"]), int(p["m"]), int(p["t"]))
         johnson = doc.get("johnson")
         code = doc.get("code")
-        keys = [e["vertex"] for e in doc["colours"]]
-        texts = [e["colour"] for e in doc["colours"]]
+        entries = doc.pop("colours")
+        keys = [e["vertex"] for e in entries]
+        texts = [e["colour"] for e in entries]
+        del entries  # the V entry dicts go before the sort builds V pairs
         if {*map(type, keys), *map(type, texts)} - {str}:
             raise TypeError("vertex keys and colours must be strings")
         colours = tuple(sorted(zip(keys, map(int, texts))))
@@ -605,8 +629,9 @@ def certificate_from_json(text: str) -> ColourCertificate:
 
 
 def save_certificate(cert: ColourCertificate, path: str) -> None:
+    chunks = certificate_chunks(cert)  # raises before the file is opened
     with open(path, "w") as fh:
-        fh.write(certificate_to_json(cert))
+        fh.writelines(chunks)
 
 
 def load_certificate(path: str) -> ColourCertificate:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -379,33 +380,46 @@ def test_a_huge_field_order_is_decided_or_refused_quickly():
     assert done.returncode == 1 and cpu < 1.0 and "too large to decide" in done.stderr
 
 
-@pytest.mark.parametrize("n, m, extra", [(400, 200, ["--johnson", "gs"]), (2000, 1000, []),
-                                         (100000, 50000, [])])
-def test_bounds_refuses_a_vertex_count_it_cannot_print_before_counting(n, m, extra):
-    # V >= 2^(m(n-m)) has more digits than Python converts to a string, so
+def _assert_bounds_refused_before_counting(q, n, m, extra):
+    # V >= q^(m(n-m)) has more digits than Python converts to a string, so
     # no format could print it; the refusal comes before any exact count
-    done, cpu = _run_limited(["bounds", "--q", "2", "--n", str(n), "--m", str(m), "--t", "1",
-                              *extra])
+    done, cpu = _run_limited(["bounds", "--q", str(q), "--n", str(n), "--m", str(m),
+                              "--t", "1", *extra])
     assert done.returncode == 1 and done.stdout == "" and cpu < 1.0
-    assert (f"vertex count, at least 2^{m * (n - m)}, has more than the "
+    assert (f"vertex count, at least {q}^{m * (n - m)}, has more than the "
             f"{sys.get_int_max_str_digits()} digits that can be printed") in done.stderr
 
 
+@pytest.mark.parametrize("n, m, extra", [(400, 200, ["--johnson", "gs"]), (2000, 1000, []),
+                                         (100000, 50000, [])])
+def test_bounds_refuses_a_vertex_count_it_cannot_print_before_counting(n, m, extra):
+    _assert_bounds_refused_before_counting(2, n, m, extra)
+
+
+def test_bounds_refuses_a_power_of_3_it_cannot_print_before_counting():
+    # 3^10000 has 4772 digits, though 2^10000, a bound from the bit length
+    # of 3, has only 3011
+    _assert_bounds_refused_before_counting(3, 200, 100, ["--johnson", "gs"])
+
+
 def test_bounds_refuses_only_vertex_counts_with_too_many_digits():
-    # around the refusal's threshold, every refused count has more digits
-    # than the limit, so no input that could be printed is refused
-    limit, refused = sys.get_int_max_str_digits(), set()
-    for q in (2, 3, 4, 8):
-        for n in range(180, 260, 3):
+    # around each q's refusal threshold, every refused count has more digits
+    # than the limit, and every q^(m(n-m)) let through has no more: the
+    # check is exact for prime q and powers of 2 or 3 alike
+    limit = sys.get_int_max_str_digits()
+    for q in (2, 3, 4, 5, 8, 9, 10 ** 12 + 39):
+        centre, refused = round(2 * math.sqrt(limit / math.log10(q))), set()
+        for n in range(centre - 12, centre + 13):
             params = GrassmannParams(q, n, n // 2, 1)
             try:
                 cli._check_printable(params)
             except ValueError:
                 assert params.vertex_count() >= 10 ** limit
-                refused.add(q)
+                refused.add(True)
             else:
-                refused.add(-q)
-    assert refused >= {2, -2}
+                assert q ** (params.m * (n - params.m)) < 10 ** limit
+                refused.add(False)
+        assert refused == {True, False}, q
 
 
 def test_bounds_gs_above_the_log_table_limit_answers_quickly():

@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import functools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -254,6 +256,59 @@ def test_writer_renders_family_sizes_as_json_dumps():
         again = col.certificate_from_json(text)
         assert again.family_sizes == cert.family_sizes
         assert col.certificate_to_json(again) == naive.naive_certificate_to_json(again) == text
+
+
+@pytest.mark.parametrize("size", [0, 1, col.CHUNK - 1, col.CHUNK, col.CHUNK + 1, 2 * col.CHUNK])
+def test_certificate_chunks_join_to_json_dumps_in_pieces_of_at_most_chunk_entries(size):
+    odd = _hand_built_certificate(tuple((ODD_KEYS[i % len(ODD_KEYS)], i) for i in range(size)))
+    pieces = list(col.certificate_chunks(odd))
+    assert "".join(pieces) == naive.naive_certificate_to_json(odd)
+    # the skeleton, a piece per CHUNK entries, the rest; an escaped key holds
+    # no raw quote, so this counts the entries
+    assert len(pieces) == (1 if size == 0 else 2 + -(-size // col.CHUNK))
+    assert all(piece.count('\n   "colour": "') <= col.CHUNK for piece in pieces)
+
+
+def test_certificate_chunks_raise_on_an_unwritable_value_before_any_piece(tmp_path):
+    bad = dataclasses.replace(_hand_built_certificate((("k", 0),)), code_params={"q": 2.0})
+    with pytest.raises(TypeError, match="unexpected certificate value 2.0"):
+        col.certificate_chunks(bad)  # called, not iterated
+    path = tmp_path / "cert.json"
+    with pytest.raises(TypeError):
+        col.save_certificate(bad, str(path))
+    assert not path.exists()
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw above the start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_holds_two_copies_of_the_text_and_a_stream_holds_a_piece():
+    # the joined text and its pieces (3.0x before the pieces); written to a
+    # discarding sink, the pieces peak at one piece and the skeleton
+    cert = col.full_colouring(col.make_context(GrassmannParams(3, 6, 3, 2)), verify=False)
+    text, peak = _traced_peak(col.certificate_to_json, cert)
+    assert peak < 2.2 * len(text)
+    cert = col.full_colouring(col.make_context(GrassmannParams(2, 8, 3, 1)), verify=False)
+    size = sum(map(len, col.certificate_chunks(cert)))
+    _, peak = _traced_peak(lambda: collections.deque(col.certificate_chunks(cert), maxlen=0))
+    assert peak < size / 4
+
+
+def test_parse_drops_the_entry_dicts_before_the_sort():
+    # 4.13x the text when the V entry dicts lived through the sort
+    cert = col.full_colouring(col.make_context(GrassmannParams(3, 6, 3, 2)), verify=False)
+    text = col.certificate_to_json(cert)
+    again, peak = _traced_peak(col.certificate_from_json, text)
+    assert again.colours == cert.colours
+    assert peak < 3.7 * len(text)
 
 
 def test_verify_properness_detects_tampering():
