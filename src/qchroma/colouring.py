@@ -22,7 +22,9 @@ The coset index is a syndrome, F_q-linear in the non-pivot block, so
 `rankmetric.SyndromeTable` holds each cell's contribution per value; the
 context builds it once per code.  A vertex's colour is class * block plus
 the coset index of its free cells' summed terms, read from its RREF rows
-(in the dual regime, the orthogonal complement's RREF rows).  The class
+(in the dual regime, the orthogonal complement's RREF rows).  Every sum of
+terms is taken and read by the table's `matq.DigitSums`, the verifier's
+rule too: XOR with no fold over characteristic 2.  The class
 base and the table rows of the free cells are cached per pivot set on the
 context.  `full_colouring` walks one identifying vector at a time: the
 free cells run over F_q^f in `enumerate_subspaces` order, the keys come
@@ -166,12 +168,12 @@ def _dual_syndromes(ctx: ColourContext) -> list[list[int]]:
     h·2^(n-m) entries are at most about twice `class_of_idvec`'s.
     """
     if ctx._syndromes is None:
-        h, terms = ctx.code.h, ctx.table.terms
+        h, terms, expand = ctx.code.h, ctx.table.terms, ctx.table.sums.expand
         ctx._syndromes = []
         for col in range(h):
             sums = [0]
             for k in range(ctx.code.m):  # digit k varies slowest so far
-                sums = [a + b for a in terms[k * h + col] for b in sums]
+                sums = expand(terms[k * h + col], sums)
             ctx._syndromes.append(sums)
     return ctx._syndromes
 
@@ -191,7 +193,7 @@ def _colour_dual_f2(ctx: ColourContext, rows: tuple[tuple[int, ...], ...],
     is a pivot; one reduced to 0 has as coordinate code the XOR of the
     masks used.
     """
-    syndromes, n = _dual_syndromes(ctx), ctx.params.n
+    syndromes, n, sums = _dual_syndromes(ctx), ctx.params.n, ctx.table.sums
     columns, row_mask = list(ctx._units), (1 << n) - 1
     # all rows as one numeral: entry j of row i is bit i * n + j
     x = int(b"".join(map(bytes, rows)).translate(_BITS)[::-1], 2)
@@ -209,8 +211,8 @@ def _colour_dual_f2(ctx: ColourContext, rows: tuple[tuple[int, ...], ...],
             found.append((x & -x, x, a ^ 1 << len(found)))
             dual_pivots.append(c)
         else:
-            total += syndromes[c - len(found)][a]
-    return _spec(ctx, tuple(dual_pivots))[0] + ctx.table.index(total)
+            total = sums.op(total, syndromes[c - len(found)][a])
+    return _spec(ctx, tuple(dual_pivots))[0] + sums.read(total)
 
 
 def colour_subspace(ctx: ColourContext, S: Subspace) -> int:
@@ -233,7 +235,8 @@ def colour_subspace(ctx: ColourContext, S: Subspace) -> int:
             return _colour_dual_f2(ctx, rows, pivots)
         rows, pivots = _complement_of_rref(S.basis.field, rows, pivots)
     base, cells, terms = _spec(ctx, pivots)
-    return base + ctx.table.index(sum(map(getitem, terms, [rows[i][j] for i, j in cells])))
+    sums = ctx.table.sums
+    return base + sums.read(sums.sum(map(getitem, terms, [rows[i][j] for i, j in cells])))
 
 
 @dataclass
@@ -308,6 +311,7 @@ class _CosetColourer:
 
     def __init__(self, ctx: ColourContext):
         self.ctx = ctx
+        self.sums = ctx.table.sums
         if ctx.regime != DUAL:
             return
         # walk states, a trie from the empty state 0: rank, span (every
@@ -322,8 +326,8 @@ class _CosetColourer:
         base, _, terms = _spec(self.ctx, tuple(j for j, b in enumerate(idvec) if b))
         totals = [0]
         for row in reversed(terms):  # the first cell varies slowest
-            totals = [a + b for a in row for b in totals]
-        return [base + c for c in self.ctx.table.indices(totals)]
+            totals = self.sums.expand(row, totals)
+        return [base + c for c in self.sums.read_all(totals)]
 
     def dual_block(self, idvec: tuple[int, ...]) -> list[int]:
         """`block` in the dual regime, from the RREF of each vertex's
@@ -340,7 +344,7 @@ class _CosetColourer:
         three parallel lists, so vertices share it up to their first
         differing row.
         """
-        q, n = self.ctx.params.q, len(idvec)
+        q, n, op = self.ctx.params.q, len(idvec), self.sums.op
         neg = _arithmetic(self.ctx.params.field)[0]
         pivots = [j for j, b in enumerate(idvec) if b]
         ends = pivots[1:] + [n]
@@ -358,11 +362,11 @@ class _CosetColourer:
                 children, walk = self._children[s], []
                 for x in codes:
                     a = span.get(x)
-                    walk.append((kept, dt + terms[a], dm) if a is not None else
+                    walk.append((kept, op(dt, terms[a]), dm) if a is not None else
                                 self._segment(p + 1, ends[i], i + 1,
                                               children.get(x) or self._grow(s, x), 0, 1 << p))
                 walks[s] = tuple(zip(*walk))
-            totals = [t + dt for s, t in zip(states, totals) for dt in walks[s][1]]
+            totals = [op(t, dt) for s, t in zip(states, totals) for dt in walks[s][1]]
             masks = [mask | dm for s, mask in zip(states, masks) for dm in walks[s][2]]
             if p != pivots[-1]:  # the last row's states are not read
                 states = [s2 for s in states for s2 in walks[s][0]]
@@ -370,7 +374,7 @@ class _CosetColourer:
         for mask in set(masks).difference(bases):
             u = tuple(mask >> c & 1 for c in range(n))
             bases[mask] = self.ctx.class_of_idvec[u] * self.ctx.coset_block
-        return list(map(add, map(bases.__getitem__, masks), self.ctx.table.indices(totals)))
+        return list(map(add, map(bases.__getitem__, masks), self.sums.read_all(totals)))
 
     def _segment(self, lo: int, hi: int, row: int, s: int, dt: int = 0, dm: int = 0
                  ) -> tuple[int, int, int]:
@@ -379,7 +383,7 @@ class _CosetColourer:
         if lo < hi:
             memo = self._segments.setdefault((lo, hi, row), {})
             if s not in memo:
-                walked, terms, bits = s, 0, 0
+                walked, terms, bits, op = s, 0, 0, self.sums.op
                 for c in range(lo, hi):
                     x = self.ctx.params.q ** (c - row)
                     a = self._spans[walked].get(x)
@@ -387,10 +391,10 @@ class _CosetColourer:
                         walked = self._children[walked].get(x) or self._grow(walked, x)
                         bits |= 1 << c
                     else:
-                        terms += self._syndromes[c - self._ranks[walked]][a]
+                        terms = op(terms, self._syndromes[c - self._ranks[walked]][a])
                 memo[s] = walked, terms, bits
             s, terms, bits = memo[s]
-            dt, dm = dt + terms, dm | bits
+            dt, dm = self.sums.op(dt, terms), dm | bits
         return s, dt, dm
 
     def _grow(self, s: int, x: int) -> int:
@@ -435,19 +439,19 @@ def _family(ctx: ColourContext, pivots: tuple[int, ...]) -> dict[int, int]:
     the image I of the free cells' syndromes, a subspace, and each is hit
     q^(cells - dim I) times.  I is spanned cell by cell, in order: a cell
     whose syndrome lies outside the span so far adds its nonzero multiples
-    to every sum, and only those new sums are folded.  Once I reaches the
+    to every sum, and only those new sums are read.  Once I reaches the
     whole coset space the sums stop.
     """
-    table, (_, _, terms) = ctx.table, _spec(ctx, pivots)
+    rule, (_, _, terms) = ctx.table.sums, _spec(ctx, pivots)
     sums, image = [0], {0}
-    for row, syndrome in zip(terms, table.indices([row[1] for row in terms])):
+    for row, syndrome in zip(terms, rule.read_all([row[1] for row in terms])):
         if syndrome in image:
             continue
         if len(image) * ctx.params.q == ctx.coset_block:
             image = range(ctx.coset_block)
             break
-        new = [a + b for a in row[1:] for b in sums]
-        image.update(table.indices(new))
+        new = rule.expand(row[1:], sums)
+        image.update(rule.read_all(new))
         sums += new
     return dict.fromkeys(image, ctx.params.q ** len(terms) // len(image))
 
@@ -605,6 +609,9 @@ def certificate_from_json(text: str) -> ColourCertificate:
             raise TypeError("vertex keys and colours must be strings")
         colours = tuple(sorted(zip(keys, map(int, texts))))
         verified = doc.get("verified") or {}
+        if type(verified.get("proper")) not in (bool, type(None)) or (
+                code is not None and type(code["distance_verified"]) is not bool):
+            raise TypeError("proper and distance_verified must be JSON booleans")
         prov = doc.get("provenance") or {}
         fam = {u: {int(i): int(s) for i, s in d.items()}
                for u, d in (prov.get("family_sizes") or {}).items()}
@@ -615,7 +622,7 @@ def certificate_from_json(text: str) -> ColourCertificate:
             code_params=(None if code is None else {
                 "q": int(code["q"]), "m": int(code["m"]), "h": int(code["h"]),
                 "d": int(code["d"]),
-                "distance_verified": bool(code["distance_verified"])}),
+                "distance_verified": code["distance_verified"]}),
             colours=colours,
             palette_used=(int(prov["palette_used"]) if "palette_used" in prov
                           else len({c for _, c in colours})),

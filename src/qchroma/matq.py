@@ -6,13 +6,17 @@ subspace identity, rank, intersection dimension and orthogonal complements
 all reduce to it, through one elimination routine, `_eliminate`.  It reads
 per-field tables of negation, division, product and difference
 (`_arithmetic`), built once per field while they fit `ff._TABLE_LIMIT`.
-Counts are plain Python integers, so Gaussian binomials never overflow.
+`DigitSums` is the one rule by which the colouring's syndromes and the
+verifier's fingerprints sum F_q digit vectors held as integers: XOR over
+characteristic 2, carry-free slots folded mod p otherwise.  Counts are
+plain Python integers, so Gaussian binomials never overflow.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Sequence
+from operator import add, xor
+from typing import Iterable, Iterator, Sequence
 
 from .ff import _TABLE_LIMIT, FieldSpec
 
@@ -272,33 +276,60 @@ def _complement_of_rref(field: FieldSpec, rows: Sequence[Sequence[int]],
 _FOLD_BITS = 12  # a fold table reads this many bits of a slot sum at a time
 
 
-class PackedFp:
-    """Vectors over F_p packed into integers, one bit slot per coordinate.
+class DigitSums:
+    """The one rule for summing vectors of base-p digits held as integers.
 
-    Coordinate j lives in bits [j * width, (j + 1) * width).  A slot is wide
-    enough for the sum of `terms` coordinates, so the integer sum of up to
-    `terms` packed vectors adds them coordinatewise with no carry between
-    slots.  `fold` reduces every slot mod p and reads slot j as base-p digit
-    j; its table maps `bits` bits (`bits // width` slots) at a time, and
-    `passes` lookups cover `slots` coordinates.
+    The digits are the F_p coordinates of F_q digits (q = p^k; an F_q index
+    is base p), so F_q addition is digitwise addition mod p.  A digit
+    vector's term is made from its base-p value (`term`), terms are summed
+    by `op` (`sum`, `expand`), and `read` gives back the base-p value of a
+    sum of up to `terms` terms.  Over characteristic 2 a term is the value
+    itself, `op` is XOR and the read is the identity: there is no fold
+    `table`.  For odd p a term holds digit j in bits [j * width, (j + 1) *
+    width), a slot wide enough for the sum of `terms` digits, so `op` is
+    integer addition with no carry between slots, and the read folds every
+    slot mod p by table lookups of `bits` bits (`bits // width` slots) at a
+    time, `passes` lookups for `digits` digits.
     """
 
-    __slots__ = ("width", "bits", "base", "passes", "table")
+    __slots__ = ("p", "op", "width", "bits", "base", "passes", "table")
 
-    def __init__(self, p: int, terms: int, slots: int):
+    def __init__(self, p: int, terms: int, digits: int):
+        self.p, self.op, self.table = p, xor if p == 2 else add, None
+        if p == 2:
+            return
         self.width = width = (terms * (p - 1)).bit_length()
         per = max(1, _FOLD_BITS // width)
         self.bits = per * width
         self.base = p ** per
-        self.passes = -(-slots // per)
+        self.passes = -(-digits // per)
         self.table = _fold_table(p, width, per)
 
-    def pack(self, digits: Sequence[int]) -> int:
-        """The packed vector with these coordinates, slot 0 first."""
-        return sum(d << (self.width * j) for j, d in enumerate(digits))
+    def term(self, value: int) -> int:
+        """The term of the digit vector with this base-p value."""
+        if self.table is None:
+            return value
+        out, shift = 0, 0
+        while value:
+            value, digit = divmod(value, self.p)
+            out += digit << shift
+            shift += self.width
+        return out
 
-    def fold(self, total: int) -> int:
-        """The base-p value of a sum of packed vectors, each slot taken mod p."""
+    def sum(self, terms: Iterable[int], start: int = 0) -> int:
+        """The sum of these terms and `start`."""
+        return functools.reduce(xor, terms, start) if self.op is xor else sum(terms, start)
+
+    def expand(self, row: Sequence[int], totals: Sequence[int]) -> list[int]:
+        """Every sum of a and b, a in `row` varying slowest and b in `totals`."""
+        if self.op is xor:
+            return [a ^ b for a in row for b in totals]
+        return [a + b for a in row for b in totals]
+
+    def read(self, total: int) -> int:
+        """The base-p value of a sum of terms, each digit taken mod p."""
+        if self.table is None:
+            return total
         table, bits, mask = self.table, self.bits, (1 << self.bits) - 1
         out = 0
         scale = 1
@@ -308,8 +339,10 @@ class PackedFp:
             scale *= self.base
         return out
 
-    def fold_all(self, totals: list[int]) -> list[int]:
-        """`fold` of every sum of `slots` coordinates, one pass per table lookup."""
+    def read_all(self, totals: list[int]) -> list[int]:
+        """`read` of every sum, one pass per table lookup."""
+        if self.table is None:
+            return totals
         table, bits, mask = self.table, self.bits, (1 << self.bits) - 1
         out = [table[s & mask] for s in totals]
         shift, scale = bits, self.base

@@ -32,7 +32,7 @@ import itertools
 from typing import Iterator, Sequence
 
 from .ff import FieldSpec, field_for_order, relative_extension
-from .matq import MatrixFq, PackedFp, _eliminate, rank
+from .matq import DigitSums, MatrixFq, _eliminate, rank
 from .grassmann import Subspace
 
 DISTANCE_SCAN_LIMIT = 2 ** 20  # codes larger than this are not scanned
@@ -229,48 +229,25 @@ class SyndromeTable:
     non-pivots at a pivot; `terms[x][v]` holds it, x the row-major cell of
     the m x h block.
 
-    The base-p digits of a coset index are the F_p coordinates of its F_q
-    digits (q = p^k, an F_q index is base p), and F_q addition is digitwise
-    addition mod p.  A term is packed by `matq.PackedFp` with one slot per
-    base-p digit, wide enough for one term per cell, so integer sums of
-    terms add digit vectors without carries.  `index` folds each slot mod
-    p and reads the slots back as the coset index.
+    F_q addition is digitwise addition mod p of the base-p digits of
+    indices, so `sums`, the `matq.DigitSums` of one term per cell, adds
+    terms and reads a sum back as the coset index.
     """
 
-    __slots__ = ("terms", "packed")
+    __slots__ = ("terms", "sums")
 
     def __init__(self, code: GabidulinCode):
-        p = code.field.p
         cells = code.m * code.h
-        digits = len(_base_digits(code.num_cosets - 1, p))
-        self.packed = packed = PackedFp(p, cells, digits)
+        self.sums = sums = DigitSums(code.field.p, cells, code.field.k * len(code._nonpivots))
         terms = []
         for x in range(cells):
             row = []
             for v in range(code.q):
                 vec = [0] * cells
                 vec[x] = v
-                row.append(packed.pack(_base_digits(
-                    _complement_value(code, code._reduce(vec)), p)))
+                row.append(sums.term(_complement_value(code, code._reduce(vec))))
             terms.append(tuple(row))
         self.terms = tuple(terms)
-
-    def index(self, total: int) -> int:
-        """The coset index of a sum of terms."""
-        return self.packed.fold(total)
-
-    def indices(self, totals: list[int]) -> list[int]:
-        """`index` of every sum, one pass per table lookup."""
-        return self.packed.fold_all(totals)
-
-
-def _base_digits(value: int, p: int) -> list[int]:
-    """Base-p digits of value, least significant first."""
-    digits = []
-    while value:
-        value, digit = divmod(value, p)
-        digits.append(digit)
-    return digits
 
 
 def coset_representative(code: GabidulinCode, i: int) -> MatrixFq:

@@ -22,16 +22,15 @@ t-subsets as fingerprints.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from operator import add, eq, getitem, mul, xor
+from operator import add, eq, getitem, mul
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .grassmann import (DUAL, GrassmannParams, Subspace, block_keys, decode_subspace,
                         encode_subspace, entry_texts, free_cells, key_template,
                         regime_of, rref_bases, weight_vectors_lex)
-from .matq import MatrixFq, PackedFp, intersection_dim
+from .matq import DigitSums, MatrixFq, intersection_dim
 
 MISSING_LIST_SLACK = 1_000  # verify lists missing keys up to this many beyond the given ones
 
@@ -98,12 +97,10 @@ class _Fingerprints:
     B's pivot columns picked by C's pivots, where C·B repeats the columns
     of C), so C·B is the canonical fingerprint as computed.
 
-    A row r·B of C·B is a sum of per-entry terms c·v, kept as the base-q
-    integer whose digit j is entry j.  Over F_{2^k} (`xor`) an index is its
-    coordinates over F_2, so the term as entry j is the index of c·v times
-    q^j, and the terms sum by XOR.  For odd p the term holds F_p coordinate
-    l of entry j in slot j·k + l of a `matq.PackedFp` wide enough for m
-    terms, and one fold of the sum gives the integer.
+    A row r·B of C·B is a sum of per-entry terms c·v, read as the base-q
+    integer whose digit j is entry j: the term as entry j is that of the
+    index of c·v times q^j, and the terms are summed and read by the
+    `matq.DigitSums` of m terms a sum.
     A fingerprint is the tuple of those integers for the rows of one C,
     the C taken in `rref_bases` order over `weight_vectors_lex(m, t)`.
     `block` is the one routine that builds them: the rows of a whole
@@ -121,17 +118,9 @@ class _Fingerprints:
         self.coeff_rows = coeff_rows = sorted({r for C in combos for r in C})
         row_at = {r: x for x, r in enumerate(coeff_rows)}
         self.columns = [[row_at[C[k]] for C in combos] for k in range(params.t)]
-        self.xor = field.p == 2
-        if self.xor:
-            self.packed, stride = None, field.k  # x << (j·k) is x·q^j
-            cv = [[field.mul(c, v) for v in range(q)] for c in range(q)]
-        else:
-            self.packed = packed = PackedFp(field.p, m, n * field.k)
-            stride = field.k * packed.width
-            cv = [[packed.pack(field.coeffs_of(field.mul(c, v))) for v in range(q)]
-                  for c in range(q)]
-        self.term = [[[x << (j * stride) for x in cv[c]] for c in range(q)]
-                     for j in range(n)]  # term[j][c][v]: c·v as entry j
+        self.sums = sums = DigitSums(field.p, m, n * field.k)
+        self.term = [[[sums.term(field.mul(c, v) * q ** j) for v in range(q)]
+                      for c in range(q)] for j in range(n)]  # term[j][c][v]: c·v as entry j
         self._negated: list | None = None  # the same with v negated, for `block`
         self._layouts: dict[tuple, list] = {}  # per (idvec, complement), for `block`
 
@@ -143,12 +132,12 @@ class _Fingerprints:
         of that vertex alone, so each list holds one integer.
 
         r·B is the sum of r_k times the pivot 1 of row k of B plus, per free
-        cell (k, j), the term of r_k times the cell's value as entry j (sums
-        are XORs over F_{2^k}), so the sums of a whole identifying vector
-        come at once, as `colouring._CosetColourer.block` sums syndromes: a
-        cell with a nonzero coefficient adds its terms to every sum so far,
-        a cell with coefficient 0 repeats the sums q times.  One vertex
-        takes one term per cell, the term for its value.
+        cell (k, j), the term of r_k times the cell's value as entry j, so
+        the sums of a whole identifying vector come at once, as
+        `colouring._CosetColourer.block` sums syndromes: a cell with a
+        nonzero coefficient adds its terms to every sum so far, a cell with
+        coefficient 0 repeats the sums q times.  One vertex takes one term
+        per cell, the term for its value.
 
         With `complement`, the fingerprints are of the vertices' orthogonal
         complements and this object is built for `params.dual()`.  For a
@@ -161,26 +150,18 @@ class _Fingerprints:
         layout = self._layouts.get((idvec, complement))
         if layout is None:
             layout = self._layouts[idvec, complement] = self._layout(idvec, complement)
+        sums = self.sums
         if values is not None:
-            sums = [self._sum(map(getitem, tables, values), head) for head, tables in layout]
-            return [[x] for x in (sums if self.xor else self.packed.fold_all(sums))]
-        q, use_xor, out = self.field.order, self.xor, []
+            return [[x] for x in sums.read_all(
+                [sums.sum(map(getitem, tables, values), head) for head, tables in layout])]
+        q, out = self.field.order, []
         for head, tables in layout:
             totals = [head]
             for table in reversed(tables):  # the first cell varies slowest
                 # table[1] is the term of c·1, which is 0 only for c = 0
-                if not table[1]:
-                    totals = totals * q
-                elif use_xor:
-                    totals = [a ^ b for a in table for b in totals]
-                else:
-                    totals = [a + b for a in table for b in totals]
-            out.append(totals if use_xor else self.packed.fold_all(totals))
+                totals = sums.expand(table, totals) if table[1] else totals * q
+            out.append(sums.read_all(totals))
         return out
-
-    def _sum(self, terms: Iterable[int], start: int = 0) -> int:
-        """The sum of these terms and `start`: their XOR over F_{2^k}."""
-        return functools.reduce(xor, terms, start) if self.xor else sum(terms, start)
 
     def _layout(self, idvec: tuple[int, ...], complement: bool) -> list[tuple[int, list]]:
         """Per row r of `coeff_rows`: r times B's pivot 1s, and per free
@@ -199,7 +180,7 @@ class _Fingerprints:
         else:
             leads, tables = pivots, term  # leads: the column of each row's pivot 1
         ones = [[tc[1] for tc in term[j]] for j in leads]  # ones[k][c]: c·(row k's pivot 1)
-        return [(self._sum(map(getitem, ones, r)), [tables[j][r[k]] for k, j in cells])
+        return [(self.sums.sum(map(getitem, ones, r)), [tables[j][r[k]] for k, j in cells])
                 for r in self.coeff_rows]
 
     def subspace(self, fingerprint: tuple[int, ...]) -> Subspace:
@@ -279,7 +260,7 @@ def _clashing_colours(params: GrassmannParams, blocks: Iterable[Sequence[int]]) 
     """
     complement = regime_of(params) == DUAL
     fp = _Fingerprints(params.dual() if complement else params)
-    base = params.q ** params.n  # a folded row is below this
+    base = params.q ** params.n  # a row, as read, is below this
     combos = [(combo[:-1], combo[-1]) for combo in zip(*fp.columns)]
     codes: list[int] = []
     for idvec, colours in zip(weight_vectors_lex(params.n, params.m), blocks):

@@ -185,7 +185,10 @@ def test_validation_errors_exit_1(capsys, tmp_path):
         dict(doc, verified="yes"),
         dict(doc, provenance=[doc["provenance"]]),
         dict(doc, provenance=dict(doc["provenance"], family_sizes={
-            u: list(d) for u, d in sizes.items()}))]
+            u: list(d) for u, d in sizes.items()})),
+        # booleans written as strings
+        dict(doc, code=dict(doc["code"], distance_verified="false")),
+        dict(doc, verified=dict(doc["verified"], proper="no"))]
     for bad in docs:
         open(cert, "w").write(json.dumps(bad))
         capsys.readouterr()

@@ -371,14 +371,15 @@ def test_unverified_certificate_roundtrips_and_can_be_checked_later():
 
 @pytest.mark.parametrize("p", [(2, 6, 3, 2), (4, 5, 2, 1), (9, 4, 2, 1),
                                (2, 5, 3, 2), (3, 6, 4, 3), (2, 5, 3, 1), (4, 5, 3, 2),
-                               (2, 7, 4, 3)])
+                               (2, 7, 4, 3), (8, 4, 2, 1), (3, 5, 3, 2)])
 def test_kernel_matches_per_vertex_reference(p):
     # the certificate and `colour_subspace` both give every vertex the colour
     # of the lifting reference, class * block + `coset_index` of the unlifted
     # block (in the dual regime, of the dual), and the same coset families;
     # in the complete regime the colour is the enumeration index.  (2,7,4,3)
     # is the first dual graph whose complements have three rows, so the
-    # column walk meets pivots interleaved across them
+    # column walk meets pivots interleaved across them; (8,4,2,1) sums 3-bit
+    # digits by XOR, and (3,5,3,2) folds sums in the dual regime
     ctx = col.make_context(GrassmannParams(*p))
     cert = col.full_colouring(ctx, verify=False)
     want = {}

@@ -12,8 +12,9 @@ import qchroma
 from qchroma import colouring as col
 from qchroma import matq, verify
 from qchroma.cli import main
-from qchroma.grassmann import (GrassmannParams, Subspace, decode_subspace, free_cells,
-                               rref_bases, weight_vectors_lex)
+from qchroma.grassmann import (GrassmannParams, Subspace, decode_subspace,
+                               enumerate_subspaces, free_cells, rref_bases,
+                               weight_vectors_lex)
 from qchroma.matq import (MatrixFq, all_matrices, intersection_dim, matmul,
                           orthogonal_complement, rank)
 
@@ -110,7 +111,7 @@ def test_xor_fingerprints_are_the_t_subspaces(p, complement):
     side = params.dual() if complement else params
     field, q, n = params.field, params.q, params.n
     fp = verify._Fingerprints(side)
-    assert fp.xor and fp.packed is None
+    assert fp.sums.table is None  # no fold table over characteristic 2
 
     def decode(f):
         if not complement:  # the rows are in RREF as computed
@@ -150,28 +151,33 @@ def _clash_mutant(cert, seed):
 
 @pytest.mark.parametrize("p", FOLD_GRAPHS)
 def test_no_fold_runs_over_characteristic_2(p, monkeypatch):
-    # over F_2, F_4 and F_8 neither an acceptance nor a refusal folds; for
-    # odd p an acceptance folds once per (identifying vector, coefficient row)
+    # over F_2, F_4 and F_8 neither an acceptance nor a refusal reads a fold
+    # table, and neither does the colouring, in bulk or per vertex; for odd p
+    # an acceptance reads one once per (identifying vector, coefficient row)
     params = GrassmannParams(*p)
     cert = _certificate(p)
-    mutant = _clash_mutant(cert, sum(p))  # built before counting: colouring folds
-    counts = {"fold": 0, "fold_all": 0}
+    mutant = _clash_mutant(cert, sum(p))
+    counts = {"read": 0, "read_all": 0}
     for name in counts:
-        real = getattr(matq.PackedFp, name)
+        real = getattr(matq.DigitSums, name)
 
         def counted(self, totals, name=name, real=real):
-            counts[name] += 1
+            counts[name] += self.table is not None  # an identity read is not counted
             return real(self, totals)
-        monkeypatch.setattr(matq.PackedFp, name, counted)
+        monkeypatch.setattr(matq.DigitSums, name, counted)
     assert col.verify_properness(cert).proper
     if p[0] % 2 == 0:
         assert not col.verify_properness(mutant).proper
-        assert counts == {"fold": 0, "fold_all": 0}
+        ctx = col.make_context(params)
+        assert col.full_colouring(ctx, verify=False).colours == cert.colours
+        for S in enumerate_subspaces(*p[:3]):
+            col.colour_subspace(ctx, S)
+        assert counts == {"read": 0, "read_all": 0}
     else:
         side = params.dual() if col.regime_of(params) == "dual" else params
         rows = len(verify._Fingerprints(side).coeff_rows)
         blocks = sum(1 for _ in weight_vectors_lex(params.n, params.m))
-        assert counts == {"fold": 0, "fold_all": blocks * rows}
+        assert counts == {"read": 0, "read_all": blocks * rows}
 
 
 # SHA-256 prefixes of repr((counterexample, witness)) of `_clash_mutant` with
