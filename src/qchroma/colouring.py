@@ -594,11 +594,18 @@ def certificate_to_json(cert: ColourCertificate) -> str:
     return "".join(certificate_chunks(cert))
 
 
+def _count(text) -> int:
+    """A count as the writer emits it: a JSON string of ASCII digits."""
+    if type(text) is not str or not (text.isascii() and text.isdigit()):
+        raise ValueError(f"count {text!r} is not a string of decimal digits")
+    return int(text)
+
+
 def certificate_from_json(text: str) -> ColourCertificate:
     try:
         doc = json.loads(text)
         p = doc["params"]
-        params = GrassmannParams(int(p["q"]), int(p["n"]), int(p["m"]), int(p["t"]))
+        params = GrassmannParams(*(_count(p[k]) for k in "qnmt"))
         johnson = doc.get("johnson")
         code = doc.get("code")
         entries = doc.pop("colours")
@@ -613,22 +620,21 @@ def certificate_from_json(text: str) -> ColourCertificate:
                 code is not None and type(code["distance_verified"]) is not bool):
             raise TypeError("proper and distance_verified must be JSON booleans")
         prov = doc.get("provenance") or {}
-        fam = {u: {int(i): int(s) for i, s in d.items()}
+        fam = {u: {_count(i): _count(s) for i, s in d.items()}
                for u, d in (prov.get("family_sizes") or {}).items()}
         return ColourCertificate(
             params=params, regime=doc["regime"],
             johnson_method=johnson["method"] if johnson else None,
-            johnson_palette=int(johnson["palette"]) if johnson else None,
+            johnson_palette=_count(johnson["palette"]) if johnson else None,
             code_params=(None if code is None else {
-                "q": int(code["q"]), "m": int(code["m"]), "h": int(code["h"]),
-                "d": int(code["d"]),
+                **{k: _count(code[k]) for k in ("q", "m", "h", "d")},
                 "distance_verified": code["distance_verified"]}),
             colours=colours,
-            palette_used=(int(prov["palette_used"]) if "palette_used" in prov
+            palette_used=(_count(prov["palette_used"]) if "palette_used" in prov
                           else len({c for _, c in colours})),
-            bounds={k: int(v) for k, v in doc["bounds"].items()},
+            bounds={k: _count(v) for k, v in doc["bounds"].items()},
             proper=verified.get("proper"),
-            pairs_checked=int(verified.get("pairs_checked", "0")),
+            pairs_checked=_count(verified.get("pairs_checked", "0")),
             family_sizes=fam)
     # wrong JSON shapes too, and nesting deeper than the parser's recursion limit
     except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:

@@ -10,22 +10,24 @@ for k > 1, index |K| is g.  `FieldSpec.add/sub/neg/mul/inv/power` take and
 return indices, as do `primitive_element` and `discrete_log`; matrices
 store indices too.
 
-`field_make(p, k)` builds F_{p^k} over the prime field, choosing the
-lexicographically smallest monic irreducible modulus (coefficients compared
-constant term first) so that repeated runs agree bit for bit.
 `relative_extension(base, h)` builds F_{q^h} on top of an existing field
 with q elements, which keeps coordinates over F_q directly available;
-rank-metric code expansion needs exactly that view.
+rank-metric code expansion needs exactly that view.  `field_make(p, k)` is
+the relative extension of degree k over the prime field.  Either way the
+modulus is the lexicographically smallest monic irreducible (coefficients
+compared constant term first), so that repeated runs agree bit for bit.
 
 Extension fields with at most 2**16 elements get exp/log tables on first
-multiplicative use; larger fields fall back to polynomial arithmetic per
-call.  Everything here is deterministic: a field's arithmetic does not
-change after construction.
+multiplicative use; larger fields multiply and raise to powers through the
+polynomial helpers that also test moduli, `_pmod(_pmul(a, b))` and
+`_ppowmod` on coefficient vectors.  Everything here is deterministic: a
+field's arithmetic does not change after construction.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Sequence
 
@@ -211,18 +213,7 @@ class FieldSpec:
         return self._digitwise(a, b, self.base.sub)
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.base is None:
-            return (-a) % self.p
-        s = self._subord
-        out = 0
-        shift = 1
-        for _ in range(self.k):
-            out += self.base.neg(a % s) * shift
-            a //= s
-            shift *= s
-        return out
+        return self.sub(0, a)
 
     def _digitwise(self, a, b, op):
         s = self._subord
@@ -251,28 +242,11 @@ class FieldSpec:
 
     def _mul_direct(self, a: int, b: int) -> int:
         K = self.base
-        ca = self.coeffs_of(a)
-        cb = self.coeffs_of(b)
-        k = self.k
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(ca):
-            if x == 0:
-                continue
-            for j, y in enumerate(cb):
-                if y:
-                    conv[i + j] = K.add(conv[i + j], K.mul(x, y))
-        # reduce by the monic modulus
-        mod = self.modulus
-        for i in range(2 * k - 2, k - 1, -1):
-            c = conv[i]
-            if c == 0:
-                continue
-            conv[i] = 0
-            off = i - k
-            for j in range(k):
-                if mod[j]:
-                    conv[off + j] = K.sub(conv[off + j], K.mul(c, mod[j]))
-        return self.index_of(conv[:k])
+        return self._index_of_poly(
+            _pmod(_pmul(self.coeffs_of(a), self.coeffs_of(b), K), self.modulus, K))
+
+    def _index_of_poly(self, c: list[int]) -> int:
+        return self.index_of(c + [0] * (self.k - len(c)))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -303,20 +277,9 @@ class FieldSpec:
         return self._pow_direct(a, e)
 
     def _pow_direct(self, a: int, e: int) -> int:
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self._raw_mul(acc, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return acc
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         if self.base is None:
-            return (a * b) % self.p
-        return self._mul_direct(a, b)
+            return pow(a, e, self.p)
+        return self._index_of_poly(_ppowmod(self.coeffs_of(a), e, self.modulus, self.base))
 
     # -- exp/log tables -------------------------------------------------------
 
@@ -334,7 +297,7 @@ class FieldSpec:
         for i in range(n):
             exp[i] = v
             log[v] = i
-            v = self._raw_mul(v, g)
+            v = self._mul_direct(v, g)
         self._exp = exp
         self._log = log
         return True
@@ -440,27 +403,16 @@ def _smallest_irreducible(K: FieldSpec, d: int) -> tuple[int, ...]:
     """Lexicographically first monic irreducible of degree d over K.
 
     Coefficient tuples (c_0, ..., c_{d-1}) are compared constant term
-    first; the top coefficient is fixed to 1.  For d > 1 every candidate
-    with c_0 = 0 is divisible by x, so the walk starts at c_0 = 1.
+    first, so the walk is `itertools.product` order with c_0 slowest; the
+    top coefficient is fixed to 1.  For d > 1 every candidate with c_0 = 0
+    is divisible by x, so the walk starts at c_0 = 1.
     """
     if d == 1:
         return (0, 1)
-    count = [1] + [0] * (d - 1)
-
-    def bump() -> bool:
-        for i in range(d - 1, -1, -1):
-            count[i] += 1
-            if count[i] < K.order:
-                return True
-            count[i] = 0
-        return False
-
-    while True:
-        f = tuple(count) + (1,)
-        if poly_is_irreducible(f, K):
-            return f
-        if not bump():
-            raise AssertionError(f"no irreducible of degree {d} over {K!r}")
+    for low in itertools.product(range(1, K.order), *[range(K.order)] * (d - 1)):
+        if poly_is_irreducible(low + (1,), K):
+            return low + (1,)
+    raise AssertionError(f"no irreducible of degree {d} over {K!r}")
 
 
 # -- public constructors ------------------------------------------------------
@@ -479,8 +431,7 @@ def field_make(p: int, k: int) -> FieldSpec:
         raise ValueError(f"field of order {p}^{k} exceeds desk scale ({DESK_ORDER_LIMIT})")
     if k == 1:
         return FieldSpec(p, 1, (0, 1), None)
-    prime = field_make(p, 1)
-    return FieldSpec(p, k, _smallest_irreducible(prime, k), prime)
+    return relative_extension(field_make(p, 1), k)
 
 
 @functools.lru_cache(maxsize=None)

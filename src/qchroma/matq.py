@@ -15,6 +15,7 @@ plain Python integers, so Gaussian binomials never overflow.
 from __future__ import annotations
 
 import functools
+import itertools
 from operator import add, xor
 from typing import Iterable, Iterator, Sequence
 
@@ -377,18 +378,7 @@ def gaussian_binomial(n: int, m: int, q: int) -> int:
 
 
 def all_matrices(field: FieldSpec, r: int, c: int) -> Iterator[MatrixFq]:
-    """All r x c matrices over the field, in row-major counting order."""
-    cells = r * c
-    q = field.order
-    grid = [0] * cells
-    while True:
-        yield MatrixFq(field, tuple(tuple(grid[i * c:(i + 1) * c]) for i in range(r)))
-        k = cells - 1
-        while k >= 0:
-            grid[k] += 1
-            if grid[k] < q:
-                break
-            grid[k] = 0
-            k -= 1
-        if k < 0:
-            return
+    """All r x c matrices over the field, in base-q counting order: the k-th
+    holds k's base-q digits row-major, the last cell fastest."""
+    for cells in itertools.product(range(field.order), repeat=r * c):
+        yield MatrixFq(field, tuple(cells[i * c:(i + 1) * c] for i in range(r)))

@@ -91,26 +91,16 @@ class GabidulinCode:
             raise ValueError(f"expected a {self.m}x{self.h} matrix")
 
     def codewords(self) -> Iterator[MatrixFq]:
-        """All codewords, in base-q counting order over the basis weights."""
+        """All codewords: the k-th is sum_i digit_i(k) basis_i, for k's
+        base-q digits, the last basis word's fastest."""
         field = self.field
-        nb = len(self.basis)
         flat_basis = [_flatten(B) for B in self.basis]
-        weights = [0] * nb
-        while True:
+        for weights in itertools.product(range(self.q), repeat=len(flat_basis)):
             vec = [0] * (self.m * self.h)
             for w, b in zip(weights, flat_basis):
                 if w:
                     vec = [field.add(v, field.mul(w, x)) for v, x in zip(vec, b)]
             yield _unflatten(field, vec, self.m, self.h)
-            i = nb - 1
-            while i >= 0:
-                weights[i] += 1
-                if weights[i] < self.q:
-                    break
-                weights[i] = 0
-                i -= 1
-            if i < 0:
-                return
 
     def __repr__(self) -> str:
         return f"GabidulinCode(q={self.q}, m={self.m}, h={self.h}, d={self.d})"

@@ -157,6 +157,22 @@ def _poly_rem(f, g, F):
     return f
 
 
+def naive_mul(F, a, b):
+    """Schoolbook product in the extension field F = K[x]/(f): convolve the
+    coefficient vectors over K with K's ops, then reduce by f from the top."""
+    K = F.base
+    conv = [0] * (2 * F.k - 1)
+    for i, x in enumerate(F.coeffs_of(a)):
+        for j, y in enumerate(F.coeffs_of(b)):
+            conv[i + j] = K.add(conv[i + j], K.mul(x, y))
+    return F.index_of(_poly_rem(conv, F.modulus, K))
+
+
+def base_q_digits(k, q, width):
+    """k's `width` base-q digits, most significant first."""
+    return tuple(k // q ** i % q for i in reversed(range(width)))
+
+
 def naive_smallest_irreducible(q, d):
     """First monic degree-d polynomial over F_q with no monic factor of
     degree 1..d//2, walking every (c_0, ..., c_{d-1}) in lexicographic

@@ -188,7 +188,13 @@ def test_validation_errors_exit_1(capsys, tmp_path):
             u: list(d) for u, d in sizes.items()})),
         # booleans written as strings
         dict(doc, code=dict(doc["code"], distance_verified="false")),
-        dict(doc, verified=dict(doc["verified"], proper="no"))]
+        dict(doc, verified=dict(doc["verified"], proper="no")),
+        # counts written as JSON numbers or booleans, not digit strings
+        dict(doc, params=dict(doc["params"], q=2.9)),
+        dict(doc, params=dict(doc["params"], n=4.0)),
+        dict(doc, verified=dict(doc["verified"], pairs_checked=True)),
+        dict(doc, bounds=dict(doc["bounds"], lower=7.5)),
+        dict(doc, provenance=dict(doc["provenance"], palette_used=3.7))]
     for bad in docs:
         open(cert, "w").write(json.dumps(bad))
         capsys.readouterr()

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -139,6 +140,39 @@ def test_relative_extension_matches_absolute_for_prime_base():
     rel = relative_extension(F2, 3)
     assert rel.modulus == field_make(2, 3).modulus
     assert rel.order == 8
+
+
+def _check_against_schoolbook(F, pairs):
+    # mul, the table-free product and power, and inv, each against
+    # naive.naive_mul (the power by repeated products)
+    for a, b in pairs:
+        want = naive.naive_mul(F, a, b)
+        assert F.mul(a, b) == F._mul_direct(a, b) == want
+    for a in {a for a, _ in pairs}:
+        acc = 1
+        for e in range(6):
+            assert F.power(a, e) == F._pow_direct(a, e) == acc
+            acc = naive.naive_mul(F, acc, a)
+        if a:
+            assert naive.naive_mul(F, a, F.inv(a)) == 1
+            assert naive.naive_mul(F, a, F._pow_direct(a, F.order - 2)) == 1
+
+
+# F_16, F_27, F_25, and the relative F_{4^3} and F_{9^2}
+@pytest.mark.parametrize("q, h", [(2, 4), (3, 3), (5, 2), (4, 3), (9, 2)])
+def test_arithmetic_matches_schoolbook_exhaustively(q, h):
+    F = relative_extension(ff.field_for_order(q), h)
+    _check_against_schoolbook(F, list(itertools.product(range(F.order), repeat=2)))
+
+
+@pytest.mark.parametrize("p, k", [(257, 2), (2, 17)])
+def test_arithmetic_above_the_table_limit_matches_schoolbook(p, k):
+    F = field_make(p, k)
+    assert F.order > ff._TABLE_LIMIT
+    rng = random.Random(p * 100 + k)
+    pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(200)]
+    _check_against_schoolbook(F, pairs + [(0, 5), (1, 7), (F.order - 1, F.order - 1)])
+    assert not F._ensure_tables()
 
 
 def test_relative_extension_over_f4():

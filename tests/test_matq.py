@@ -130,6 +130,16 @@ def test_gaussian_binomial_values_and_oracle():
     assert gaussian_binomial(5, 3, 2) == gaussian_binomial(5, 2, 2) == 155
 
 
+def test_all_matrices_counts_in_base_q_order():
+    # the k-th matrix holds k's base-3 digits row-major, the last cell fastest
+    F3 = field_make(3, 1)
+    mats = list(all_matrices(F3, 2, 2))
+    assert len(mats) == 81
+    for k, M in enumerate(mats):
+        d = naive.base_q_digits(k, 3, 4)
+        assert M.rows == (d[:2], d[2:])
+
+
 def test_gaussian_binomial_errors():
     with pytest.raises(ValueError):
         gaussian_binomial(3, 4, 2)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import naive
 from naive import naive_min_rank
 from qchroma import colouring, rankmetric, selftest
 from qchroma.ff import field_make
@@ -30,6 +31,14 @@ def test_built_codes_hit_singleton_with_equality(q, m, h, d, size):
     assert code.size == size == q ** (h * (m - d + 1))
     words = list(code.codewords())
     assert len(words) == len({w.rows for w in words}) == size
+    # the k-th word is sum_i digit_i(k) basis_i, the last basis word fastest
+    F = code.field
+    flat = [tuple(v for row in B.rows for v in row) for B in code.basis]
+    for k, w in enumerate(words):
+        want = (0,) * (m * h)
+        for c, b in zip(naive.base_q_digits(k, q, len(flat)), flat):
+            want = naive.vec_add(F, want, naive.vec_scale(F, c, b))
+        assert tuple(v for row in w.rows for v in row) == want
     assert min_rank_distance(code) == d
     # every nonzero word has rank >= d (exhaustive scan, not just the min)
     for w in words:
